@@ -43,6 +43,7 @@ func TestCityScaleWorkerInvariance(t *testing.T) {
 			t.Fatalf("population %d: near fraction %v outside (0, 1]", r.Networks, r.NearFrac)
 		}
 	}
+	checkGolden(t, "CityScale/shrunk", t1.String())
 }
 
 // TestCityLadderSnapshotsAreSparseAndFoldable pins the driver's static

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -19,9 +20,14 @@ func determinismOpts(seed int64) Options {
 	}
 }
 
+// assertWorkerInvariant also checks each seed's Workers=1 table against
+// the committed golden manifest (golden_test.go), after every seed's
+// worker comparison has run.
 func assertWorkerInvariant(t *testing.T, name string, run func(Options) string) {
 	t.Helper()
-	for _, seed := range []int64{1, 7, 42} {
+	seeds := []int64{1, 7, 42}
+	serialOut := make([]string, len(seeds))
+	for i, seed := range seeds {
 		serial := determinismOpts(seed)
 		serial.Workers = 1
 		fanned := determinismOpts(seed)
@@ -32,6 +38,10 @@ func assertWorkerInvariant(t *testing.T, name string, run func(Options) string) 
 			t.Errorf("%s seed %d: Workers=1 and Workers=8 outputs differ\n--- Workers=1 ---\n%s\n--- Workers=8 ---\n%s",
 				name, seed, got1, got8)
 		}
+		serialOut[i] = got1
+	}
+	for i, seed := range seeds {
+		checkGolden(t, fmt.Sprintf("%s/seed=%d", name, seed), serialOut[i])
 	}
 }
 
@@ -78,7 +88,9 @@ func TestCoexistenceWorkerCountInvariant(t *testing.T) {
 // its default auto mode, so this is the PR-level assertion that neither
 // core recycling, nor the filter's engagement decision, nor the worker
 // schedule (which decides *which* recycled core a cell gets) can move a
-// single byte of any table.
+// single byte of any table. The Workers=1 bytes are additionally checked
+// against the committed golden manifest, so a change that moves every
+// worker count alike fails too.
 func TestGoldenTablesWorkerInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders 17 tables twice; skipped in -short")
@@ -99,6 +111,7 @@ func TestGoldenTablesWorkerInvariant(t *testing.T) {
 				t.Errorf("%s: Workers=1 and Workers=8 tables differ\n--- Workers=1 ---\n%s\n--- Workers=8 ---\n%s",
 					tc.name, got1, got8)
 			}
+			checkGolden(t, "golden/"+tc.name, got1)
 		})
 	}
 }
