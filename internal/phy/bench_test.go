@@ -18,28 +18,6 @@ func BenchmarkPacketErrorRate(b *testing.B) {
 	_ = s
 }
 
-// BenchmarkPERBatch measures PER evaluation over a batch of SINR samples —
-// the shape of a sweep evaluating SINR→BER→PER for every (listener,
-// transmission) pair of a segment. The batch runs on the quantised lookup
-// table; BenchmarkPacketErrorRate above covers the closed-form reference.
-func BenchmarkPERBatch(b *testing.B) {
-	tab, err := NewPERTable(-20, 20, 0.05, 648)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sinrs := make([]float64, 256)
-	for i := range sinrs {
-		sinrs[i] = float64(i%240)/10 - 10 // [-10, 14) dB in 0.1 dB steps
-	}
-	dst := make([]float64, len(sinrs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab.PERBatch(dst, sinrs)
-	}
-	_ = dst
-}
-
 func BenchmarkCombine(b *testing.B) {
 	levels := []DBm{-60, -70, -80, -90, -55}
 	for i := 0; i < b.N; i++ {

@@ -96,12 +96,6 @@ type Config struct {
 	// being received steals the lock (the weaker frame is lost). Zero
 	// disables capture, the conservative default.
 	CaptureMargin phy.DBm
-	// PERTable, when non-nil, makes the radio evaluate per-segment bit
-	// errors through the quantised BER lookup instead of the exact closed
-	// form. This is an explicit opt-in approximation for large sweeps —
-	// the published experiments leave it nil, so their outputs always
-	// come from the reference curve.
-	PERTable *phy.PERTable
 }
 
 // RegisterStats counts anomalous interactions with the CCA threshold
@@ -445,13 +439,7 @@ func (r *Radio) closeSegment() {
 		return
 	}
 	interf := r.medium.Interference(r.rx.tx, r.id, r.cfg.Freq)
-	sinr := phy.SINR(r.rx.signal, interf)
-	var ber float64
-	if t := r.cfg.PERTable; t != nil {
-		ber = t.BER(sinr)
-	} else {
-		ber = phy.BitErrorRate(sinr)
-	}
+	ber := phy.BitErrorRate(phy.SINR(r.rx.signal, interf))
 	r.rx.bitErrors += r.rng.Binomial(bits, ber)
 }
 
