@@ -22,6 +22,11 @@ import (
 	"nonortho/internal/trace"
 )
 
+// lossBoundDB is the snapshot's near-field loss bound, the one the
+// experiment drivers use: ~820 m under the default model, so every pair of
+// a colocated deployment is stored.
+const lossBoundDB = 150
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "dcntrace:", err)
@@ -60,10 +65,10 @@ func run(args []string) error {
 		centers[i] = 2458 + phy.MHz(3*i)
 	}
 	rng := sim.NewRNG(*seed)
-	snap, err := topology.NewSnapshot(topology.Config{
+	snap, err := topology.NewSnapshotNear(topology.Config{
 		Plan:   phy.ChannelPlan{Centers: centers, CFD: 3},
 		Layout: topology.LayoutColocated,
-	}, rng, nil)
+	}, rng, nil, lossBoundDB)
 	if err != nil {
 		return err
 	}

@@ -121,13 +121,13 @@ func runSnapCell(seed int64, ar *arena.Arena, snap *topology.Snapshot) []float64
 // reset), its results are bit-identical to the arena-free run.
 func TestLeaseTopoKeepsResultsBitIdentical(t *testing.T) {
 	newSnap := func(start phy.MHz) *topology.Snapshot {
-		snap, err := topology.NewSnapshot(topology.Config{
+		snap, err := topology.NewSnapshotNear(topology.Config{
 			Plan: phy.ChannelPlan{
 				Start: start, Bandwidth: 9, CFD: 3,
 				Centers: []phy.MHz{start, start + 3, start + 6},
 			},
 			Layout: topology.LayoutColocated,
-		}, sim.NewRNG(1), nil)
+		}, sim.NewRNG(1), nil, 150) // 150 dB: every colocated pair is stored
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -94,11 +94,11 @@ func ccaSweepSpecs(linkPower phy.DBm, coChannel bool) []topology.NetworkSpec {
 
 // ccaSweepSnap is the one shared snapshot of the full sweep geometry,
 // co-channel links included. The positions are fixed across every
-// (threshold, power) cell, and the loss matrix is keyed on positions
+// (threshold, power) cell, and stored losses are keyed on positions
 // only, so cells that omit the co-channel networks or override transmit
-// power still hit the matrix for every node they do attach.
+// power still hit the snapshot for every node they do attach.
 var ccaSweepSnap = sync.OnceValue(func() *topology.Snapshot {
-	return topology.SnapshotFromSpecs(ccaSweepSpecs(0, true), phy.DefaultPathLoss())
+	return handPlacedSnap(ccaSweepSpecs(0, true))
 })
 
 func ccaSweepRun(seed int64, threshold phy.DBm, linkPower phy.DBm, coChannel bool, opts Options) ccaSweepResultRow {

@@ -12,9 +12,9 @@ import (
 	"time"
 
 	"nonortho/internal/arena"
+	"nonortho/internal/medium"
 	"nonortho/internal/parallel"
 	"nonortho/internal/phy"
-	"nonortho/internal/medium"
 	"nonortho/internal/sim"
 	"nonortho/internal/testbed"
 	"nonortho/internal/topology"
@@ -150,10 +150,8 @@ type seedTopos struct {
 // spatialLossBoundDB is the near-field loss bound every driver-built
 // snapshot uses: pairs whose path loss provably reaches it are never
 // materialised. The paper's layouts span meters, so their pairs are all
-// near-field and the sparse rows hold exactly what the dense matrix would
-// — golden tables are byte-identical either way (the determinism suite
-// pins this) — while city-scale drivers get O(n·k) snapshots from the
-// same code path. 150 dB is ~820 m under the default indoor model, and
+// near-field and the rows hold every pair, while city-scale drivers get
+// O(n·k) snapshots from the same code path. 150 dB is ~820 m under the default indoor model, and
 // leaves a certified-far transmitter at least 16 dB below the weakest
 // interest floor in use (phy.Sensitivity) even with the full
 // phy.ReachMarginDB fade allowance.
@@ -164,9 +162,8 @@ const spatialLossBoundDB = 150
 // snapshot consumes exactly the RNG draws a cell calling
 // topology.Generate(cfg, sim.NewRNG(seed)) itself would, so placements are
 // bit-identical to per-cell generation; cells sharing a (cfg, seed) then
-// share one set of placements and one precomputed path-loss matrix instead
-// of regenerating both. Snapshots are near-field (the spatial tier in
-// exact mode: no error budget, losses bit-identical where materialised).
+// share one set of placements and one set of precomputed path losses
+// instead of regenerating both.
 func snapshotSeeds(opts Options, cfg topology.Config) seedTopos {
 	st := seedTopos{base: opts.Seed, snaps: make([]*topology.Snapshot, opts.Seeds)}
 	for i := range st.snaps {
@@ -177,6 +174,16 @@ func snapshotSeeds(opts Options, cfg topology.Config) seedTopos {
 		st.snaps[i] = snap
 	}
 	return st
+}
+
+// handPlacedSnap captures a fixed hand-placed layout at the drivers' loss
+// bound. These layouts span meters, so every pair is stored.
+func handPlacedSnap(nets []topology.NetworkSpec) *topology.Snapshot {
+	snap, err := topology.SnapshotFromSpecsNear(nets, nil, spatialLossBoundDB)
+	if err != nil {
+		panic(err) // the default model inverts and the bound is positive; cannot fail
+	}
+	return snap
 }
 
 // at returns the snapshot for one seed of the run.

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"nonortho/internal/sim"
 	"nonortho/internal/topology"
 )
 
@@ -12,14 +11,10 @@ import (
 // driver's snapshotSeeds would.
 func faultTestSnapshot(t *testing.T, seed int64) *topology.Snapshot {
 	t.Helper()
-	snap, err := topology.NewSnapshot(topology.Config{
+	return snapshotSeeds(Options{Seed: seed, Seeds: 1}, topology.Config{
 		Plan:   evalPlan(5, 3),
 		Layout: topology.LayoutColocated,
-	}, sim.NewRNG(seed), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap
+	}).at(seed)
 }
 
 // TestFaultRunDeterministicReplay asserts the acceptance property: the same

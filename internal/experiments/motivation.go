@@ -137,10 +137,10 @@ func Fig2(opts Options) (Fig2Result, *Table) {
 
 // wifiPairSnap captures the fixed two-link Fig. 2 geometry in station
 // attach order (a.tx, a.rx, b.tx, b.rx) so the raw-medium Wi-Fi cells
-// read pairwise losses from the shared matrix too. Frequencies are not
-// part of the matrix, so one snapshot serves every channel separation.
+// read pairwise losses from the shared snapshot too. Frequencies are not
+// part of the snapshot, so one serves every channel separation.
 var wifiPairSnap = sync.OnceValue(func() *topology.Snapshot {
-	return topology.SnapshotFromSpecs([]topology.NetworkSpec{
+	return handPlacedSnap([]topology.NetworkSpec{
 		{
 			Sink:    topology.NodeSpec{Pos: phy.Position{X: 0, Y: 0}},
 			Senders: []topology.NodeSpec{{Pos: phy.Position{X: 1, Y: 0}}},
@@ -149,7 +149,7 @@ var wifiPairSnap = sync.OnceValue(func() *topology.Snapshot {
 			Sink:    topology.NodeSpec{Pos: phy.Position{X: 0, Y: 2}},
 			Senders: []topology.NodeSpec{{Pos: phy.Position{X: 1, Y: 2}}},
 		},
-	}, phy.DefaultPathLoss())
+	})
 })
 
 // wifiPairThroughput measures link A's delivered packets with link B
@@ -177,9 +177,9 @@ func wifiPairThroughput(seed int64, sep int, opts Options) float64 {
 
 // wpanPairSnap is the 802.15.4 half of the Fig. 2 geometry: sink-first
 // spec order matches testbed attach order, and the one-link cells
-// (sep = 99) still index the first two nodes of the matrix correctly.
+// (sep = 99) still index the first two nodes of the snapshot correctly.
 var wpanPairSnap = sync.OnceValue(func() *topology.Snapshot {
-	return topology.SnapshotFromSpecs([]topology.NetworkSpec{
+	return handPlacedSnap([]topology.NetworkSpec{
 		{
 			Sink:    topology.NodeSpec{Pos: phy.Position{X: 1, Y: 0}},
 			Senders: []topology.NodeSpec{{Pos: phy.Position{X: 0, Y: 0}}},
@@ -188,7 +188,7 @@ var wpanPairSnap = sync.OnceValue(func() *topology.Snapshot {
 			Sink:    topology.NodeSpec{Pos: phy.Position{X: 1, Y: 2}},
 			Senders: []topology.NodeSpec{{Pos: phy.Position{X: 0, Y: 2}}},
 		},
-	}, phy.DefaultPathLoss())
+	})
 })
 
 // wpanPairThroughput measures an 802.15.4 link's goodput with a second
@@ -270,7 +270,7 @@ func Fig4(opts Options) (Fig4Result, *Table) {
 // cprrSnap is the crossed-link Fig. 3 geometry; the attacker's channel
 // offset varies per cell but the placements never do.
 var cprrSnap = sync.OnceValue(func() *topology.Snapshot {
-	return topology.SnapshotFromSpecs([]topology.NetworkSpec{
+	return handPlacedSnap([]topology.NetworkSpec{
 		{
 			Sink:    topology.NodeSpec{Pos: phy.Position{X: 0.5, Y: 0}},
 			Senders: []topology.NodeSpec{{Pos: phy.Position{X: -0.5, Y: 0}}},
@@ -279,7 +279,7 @@ var cprrSnap = sync.OnceValue(func() *topology.Snapshot {
 			Sink:    topology.NodeSpec{Pos: phy.Position{X: -0.5, Y: 1}},
 			Senders: []topology.NodeSpec{{Pos: phy.Position{X: 0.5, Y: 1}}},
 		},
-	}, phy.DefaultPathLoss())
+	})
 })
 
 // cprrRun builds the crossed-link geometry of Fig. 3: the normal link and

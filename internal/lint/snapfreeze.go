@@ -244,7 +244,7 @@ func checkRowAliases(pass *Pass, fd *ast.FuncDecl) {
 }
 
 // isNearRowCall matches any method named NearRow — the Snapshot
-// accessor and the FarFieldProvider interface it satisfies.
+// accessor and the medium.LossProvider interface it satisfies.
 func isNearRowCall(info *types.Info, call *ast.CallExpr) bool {
 	fn, ok := calleeObj(info, call).(*types.Func)
 	if !ok || fn.Name() != "NearRow" {

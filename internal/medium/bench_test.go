@@ -112,7 +112,7 @@ func (p *bandedProbe) Interest() Interest {
 func BenchmarkOnAirFanout(b *testing.B) {
 	run := func(b *testing.B, filterOn bool) {
 		k := sim.NewKernel(1)
-		m := New(k, WithInterestFilter(filterOn))
+		m := New(k, withFilter(filterOn))
 		const bandCount, perBand = 16, 6
 		ids := make([]int, 0, bandCount*perBand)
 		probes := make([]*bandedProbe, 0, bandCount*perBand)

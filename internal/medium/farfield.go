@@ -9,15 +9,15 @@ import (
 )
 
 // This file is the medium half of the spatial tier: far-field aggregation
-// over a near-field (tiled) topology snapshot. A FarFieldProvider certifies
-// a loss floor for every node pair it deliberately omits; the medium uses
-// that certificate two ways:
+// over a near-field topology snapshot. The LossProvider certifies a loss
+// floor for every node pair it deliberately omits; the medium uses that
+// certificate two ways:
 //
 //   - Culling (always on when a provider is installed, exact): the
 //     reachable-power predicate can rule a far pair out from the floor
 //     alone, and falls back to computing the exact model loss when the
-//     floor is inconclusive — so delivery decisions are bit-identical to a
-//     dense snapshot, and all-pairs golden runs are unchanged.
+//     floor is inconclusive — so delivery decisions are bit-identical to
+//     storing every pair.
 //
 //   - Folding (opt-in via WithFarField, approximate with an enforced error
 //     budget): power sums skip transmissions from far sources entirely and
@@ -26,42 +26,18 @@ import (
 //     O(neighbourhood), not O(active), and link-state memory follows the
 //     snapshot's O(n·k) sparsity instead of O(n²).
 //
-// The budget follows the phy.NewPERTableWithBudget pattern: exact by
-// default (no budget ⇒ no folding, bit-identical to a dense run), and an
-// opt-in bound that the constructor path (Reset) enforces by panicking
-// when the worst-case fold error exceeds it.
-
-// FarFieldProvider is the optional LossProvider extension a near-field
-// topology snapshot implements. All methods are read-only and must be
-// consistent with PairLoss: a pair is either near (PairLoss answers, and
-// the source appears in the listener's NearRow) or certified far
-// (PairLossFloor answers with the loss floor) — never both.
-type FarFieldProvider interface {
-	LossProvider
-	// PairLossFloor returns a floor every certified-far pair's true loss
-	// provably reaches, with ok=false for near pairs or unmatched geometry.
-	PairLossFloor(src, listener int, from, to phy.Position) (floor float64, ok bool)
-	// NearRow returns the ascending node IDs within the near-field bound
-	// of the given node (including itself) and their exact pair losses.
-	// Rows are symmetric views into shared storage — read-only.
-	NearRow(node int) (ids []int32, loss []float64)
-	// Backed reports whether the node is captured at exactly this position.
-	Backed(id int, pos phy.Position) bool
-	// FarField reports the certified loss floor and the worst per-listener
-	// far-source count; ok=false when the provider is dense.
-	FarField() (lossBoundDB float64, maxFarCount int, ok bool)
-	// NumNodes reports the captured population.
-	NumNodes() int
-}
+// The budget is exact by default (no budget ⇒ no folding, bit-identical
+// sums), and an opt-in bound that the constructor path (Reset) enforces by
+// panicking when the worst-case fold error exceeds it.
 
 // WithFarField enables far-field folding with the given error budget in dB:
 // the maximum amount the aggregate far-field term may lift any listener's
-// sensed noise floor. Reset panics unless the installed loss provider is a
-// FarFieldProvider whose certified floor keeps the worst-case fold error —
+// sensed noise floor. Reset panics unless a loss provider is installed
+// whose certified floor keeps the worst-case fold error —
 // 10·log10(1 + maxFarCount·unit/noise), unit the fade-free in-channel power
 // of one maximum-power transmitter at exactly the floor loss — within the
 // budget. A zero budget (the default) disables folding entirely: sums are
-// exact and bit-identical to a dense snapshot.
+// exact.
 //
 // Error semantics: the certificate bounds the fade-free contribution of
 // each folded transmitter, assuming at most one concurrent transmission
@@ -90,23 +66,19 @@ func foldErrorDB(maxFarCount int, unitMW float64) float64 {
 
 // resolveFarField derives the spatial-tier state from the freshly applied
 // options; reset calls it once per cell so the hot paths never re-inspect
-// the provider. Budget violations panic — misconfiguration, like a PER
-// table whose grid cannot honour its budget, is a programming error.
+// the provider. Budget violations panic — misconfiguration is a
+// programming error.
 func (m *Medium) resolveFarField() {
-	m.farProvider, _ = m.lossProvider.(FarFieldProvider)
 	if m.farBudgetDB == 0 {
 		return
 	}
 	if m.farBudgetDB < 0 {
 		panic(fmt.Sprintf("medium: negative far-field error budget %g dB", m.farBudgetDB))
 	}
-	if m.farProvider == nil {
-		panic("medium: WithFarField needs a FarFieldProvider loss provider (a near-field topology snapshot)")
+	if m.lossProvider == nil {
+		panic("medium: WithFarField needs a loss provider (a topology snapshot)")
 	}
-	bound, maxFar, ok := m.farProvider.FarField()
-	if !ok {
-		panic("medium: WithFarField needs a near-field snapshot; the installed provider is dense")
-	}
+	bound, maxFar := m.lossProvider.FarField()
 	unitMW := (phy.MaxTxPower - phy.DBm(bound)).Milliwatts()
 	if errDB := foldErrorDB(maxFar, unitMW); errDB > m.farBudgetDB {
 		panic(fmt.Sprintf("medium: far-field fold error %.3f dB exceeds the %.3f dB budget (loss bound %.1f dB, %d far sources); raise the snapshot's loss bound or the budget",
@@ -115,7 +87,7 @@ func (m *Medium) resolveFarField() {
 	m.spatial = true
 	m.farUnitMW = unitMW
 	m.farMaxCount = maxFar
-	m.farN = m.farProvider.NumNodes()
+	m.farN = m.lossProvider.NumNodes()
 	// Far-cull threshold for the spatial fan-out: a listener floor above
 	// this can never hear a legal-power transmitter at or beyond the loss
 	// bound, margin included.
@@ -129,7 +101,7 @@ func (m *Medium) resolveFarField() {
 // listener in milliwatts: one fade-free maximum-power transmission at the
 // floor loss per far source.
 func (m *Medium) farFoldMW(listenerID int) float64 {
-	near, _ := m.farProvider.NearRow(listenerID)
+	near, _ := m.lossProvider.NearRow(listenerID)
 	return float64(m.farN-len(near)) * m.farUnitMW
 }
 
@@ -143,7 +115,7 @@ func (m *Medium) trackActive(tx *Transmission) {
 	}
 	m.bySrc[tx.Src] = append(m.bySrc[tx.Src], tx)
 	tx.farBounded = tx.Bandwidth == 0 && tx.Power <= phy.MaxTxPower &&
-		m.farProvider.Backed(tx.Src, tx.Pos)
+		m.lossProvider.Backed(tx.Src, tx.Pos)
 	if !tx.farBounded {
 		m.unbounded = append(m.unbounded, tx)
 	}
@@ -181,7 +153,7 @@ func removeTx(s []*Transmission, tx *Transmission) []*Transmission {
 // farFoldMW. The scratch slice is reused across calls.
 func (m *Medium) nearActive(listenerID int) []*Transmission {
 	s := m.nearScratch[:0]
-	near, _ := m.farProvider.NearRow(listenerID)
+	near, _ := m.lossProvider.NearRow(listenerID)
 	for _, src := range near {
 		if int(src) < len(m.bySrc) {
 			s = append(s, m.bySrc[src]...)
@@ -218,53 +190,6 @@ func (m *Medium) folded(listenerID int) bool {
 	return m.spatial && listenerID < len(m.farBacked) && m.farBacked[listenerID]
 }
 
-// sensedPowerFolded is sensedPowerDirect over the near field only, with the
-// far field folded into the noise term.
-func (m *Medium) sensedPowerFolded(listenerID int, freq phy.MHz, exclude *Transmission) phy.DBm {
-	total := noiseFloorMW + m.farFoldMW(listenerID)
-	for _, tx := range m.nearActive(listenerID) {
-		if exclude != nil && tx.ID == exclude.ID {
-			continue
-		}
-		if tx.Src == listenerID {
-			continue
-		}
-		total += m.inChannelMW(tx, listenerID, freq)
-	}
-	return phy.FromMilliwatts(total)
-}
-
-// sensedCoChannelFolded is sensedCoChannelDirect over the near field; the
-// fold is frequency-blind (its certificate bounds total in-channel power),
-// so the co-channel reading carries the same one-sided error bound.
-func (m *Medium) sensedCoChannelFolded(listenerID int, freq phy.MHz, exclude *Transmission) phy.DBm {
-	total := noiseFloorMW + m.farFoldMW(listenerID)
-	for _, tx := range m.nearActive(listenerID) {
-		if exclude != nil && tx.ID == exclude.ID {
-			continue
-		}
-		if tx.Src == listenerID || tx.Freq != freq {
-			continue
-		}
-		total += m.rxMW(tx, listenerID)
-	}
-	return phy.FromMilliwatts(total)
-}
-
-// interferenceFolded is interferenceDirect over the near field plus the
-// far-field fold (Interference excludes the noise floor but not the far
-// field — a receiver's SINR denominator must account for it).
-func (m *Medium) interferenceFolded(wanted *Transmission, listenerID int, freq phy.MHz) phy.DBm {
-	total := m.farFoldMW(listenerID)
-	for _, tx := range m.nearActive(listenerID) {
-		if tx.ID == wanted.ID || tx.Src == listenerID {
-			continue
-		}
-		total += m.inChannelMW(tx, listenerID, freq)
-	}
-	return phy.FromMilliwatts(total)
-}
-
 // spatialSlot is the folded-mode replacement for dense link-row indexing:
 // a backed listener's slots live in its row at the source's rank within
 // the listener's near row — O(k) memory per listener instead of O(n) —
@@ -272,7 +197,7 @@ func (m *Medium) interferenceFolded(wanted *Transmission, listenerID int, freq p
 // probed directly) spills to a keyed map.
 func (m *Medium) spatialSlot(listenerID, src int) *linkSlot {
 	if listenerID < len(m.farBacked) && m.farBacked[listenerID] {
-		near, _ := m.farProvider.NearRow(listenerID)
+		near, _ := m.lossProvider.NearRow(listenerID)
 		if r := rankOf(near, int32(src)); r >= 0 {
 			return &m.spatialRow(listenerID, len(near))[r]
 		}

@@ -10,9 +10,9 @@ import (
 	"nonortho/internal/topology"
 )
 
-// The far-field fold's constructor contract, mirroring the PER table's
-// budget pattern: exact by default, and an opt-in budget that Reset
-// enforces by panicking on any configuration that cannot honour it.
+// The far-field fold's constructor contract: exact by default, and an
+// opt-in budget that Reset enforces by panicking on any configuration that
+// cannot honour it.
 
 // farTestSnapshot builds a near-field snapshot of n single-node networks
 // on a line with the given spacing, so the far/near split is easy to
@@ -61,19 +61,8 @@ func TestFarFieldBudgetContract(t *testing.T) {
 		})
 	})
 	t.Run("no provider panics", func(t *testing.T) {
-		mustPanic(t, "needs a FarFieldProvider", func() {
+		mustPanic(t, "needs a loss provider", func() {
 			New(sim.NewKernel(1), WithFarField(1))
-		})
-	})
-	t.Run("dense provider panics", func(t *testing.T) {
-		dense, err := topology.NewSnapshot(topology.Config{Plan: phy.ChannelPlan{
-			Start: 2458, Bandwidth: 15, CFD: 3, Centers: []phy.MHz{2458, 2461}}},
-			sim.NewRNG(1), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustPanic(t, "provider is dense", func() {
-			New(sim.NewKernel(1), WithLossProvider(dense), WithFarField(1))
 		})
 	})
 	t.Run("exceeded budget panics", func(t *testing.T) {
@@ -91,16 +80,13 @@ func TestFarFieldBudgetContract(t *testing.T) {
 		if m.spatial {
 			t.Fatal("medium folded without a budget")
 		}
-		if m.farProvider == nil {
-			t.Fatal("exact mode lost the far provider: the far-pair cull certificate is gone")
+		if m.lossProvider == nil {
+			t.Fatal("exact mode lost the loss provider: the far-pair cull certificate is gone")
 		}
 	})
 	t.Run("honoured budget reports its error", func(t *testing.T) {
 		m := New(sim.NewKernel(1), WithLossProvider(sparse), WithFarField(15))
-		_, maxFar, ok := sparse.FarField()
-		if !ok {
-			t.Fatal("sparse snapshot reports dense")
-		}
+		_, maxFar := sparse.FarField()
 		unit := (phy.MaxTxPower - phy.DBm(95)).Milliwatts()
 		want := 10 * math.Log10(1+float64(maxFar)*unit/noiseFloorMW)
 		got := m.FarFieldErrorDB()

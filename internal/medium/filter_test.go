@@ -1,12 +1,27 @@
 package medium
 
 import (
+	"math"
 	"testing"
 
 	"nonortho/internal/frame"
 	"nonortho/internal/phy"
 	"nonortho/internal/sim"
 )
+
+// withFilter pins the dissemination path regardless of listener count:
+// on brings the interest index live from the first attach, off keeps it
+// dormant for any population. Both paths are bit-identical; tests use this
+// to compare them and to pin the filtered path's delivery contract.
+func withFilter(on bool) Option {
+	return func(m *Medium) {
+		if on {
+			m.indexMin = 0
+		} else {
+			m.indexMin = math.MaxInt
+		}
+	}
+}
 
 // interestProbe is a listener with a declared band interest that counts
 // its deliveries.
@@ -28,7 +43,7 @@ func (p *interestProbe) Interest() Interest      { return p.in }
 // transmission's band gets the OffAir, the one that left does not.
 func TestRetuneWhileOnAir(t *testing.T) {
 	k := sim.NewKernel(1)
-	m := New(k, WithInterestFilter(true))
+	m := New(k, withFilter(true))
 
 	src := &interestProbe{in: Interest{Scope: ScopeOwn}}
 	onA := &interestProbe{pos: phy.Position{X: 1}, in: Interest{Scope: ScopeBand, Band: 2460}}
@@ -76,7 +91,7 @@ func TestRetuneWhileOnAir(t *testing.T) {
 // it in the index.
 func TestDetachWithPendingInterest(t *testing.T) {
 	k := sim.NewKernel(1)
-	m := New(k, WithInterestFilter(true))
+	m := New(k, withFilter(true))
 
 	src := &interestProbe{in: Interest{Scope: ScopeOwn}}
 	lis := &interestProbe{pos: phy.Position{X: 1}, in: Interest{Scope: ScopeBand, Band: 2460, Floor: phy.Sensitivity}}
@@ -119,14 +134,14 @@ func TestDetachWithPendingInterest(t *testing.T) {
 	}
 }
 
-// TestAutoIndexEngagesAtThreshold pins the default (auto) engagement
-// policy: the interest index stays dormant — empty buckets, plain
+// TestAutoIndexEngagesAtThreshold pins the engagement policy: the
+// interest index stays dormant — empty buckets, plain
 // notify-everyone fan-out — until indexMinListeners listeners attach,
 // then comes live with every earlier listener's recorded interest filed,
 // and stays live as the population shrinks again.
 func TestAutoIndexEngagesAtThreshold(t *testing.T) {
 	k := sim.NewKernel(1)
-	m := New(k) // default: auto mode
+	m := New(k)
 	ids := make([]int, 0, indexMinListeners)
 	for i := 0; i < indexMinListeners-1; i++ {
 		p := &interestProbe{pos: phy.Position{X: float64(i)}, in: Interest{Scope: ScopeBand, Band: 2460}}
@@ -167,7 +182,7 @@ func TestAutoIndexEngagesAtThreshold(t *testing.T) {
 // order.
 func TestWidebandDeliverySpansBands(t *testing.T) {
 	k := sim.NewKernel(1)
-	m := New(k, WithInterestFilter(true))
+	m := New(k, withFilter(true))
 
 	src := &interestProbe{in: Interest{Scope: ScopeOwn}}
 	srcID := m.Attach(src)

@@ -90,42 +90,19 @@ type DisseminationStats struct {
 // DisseminationStats returns the medium's fan-out counters.
 func (m *Medium) DisseminationStats() DisseminationStats { return m.dstats }
 
-// Filter engagement modes. The default (auto) keeps the index dormant for
-// small listener populations: a skipped callback only saves an interface
-// call that early-returns (~nanoseconds), so the per-event merge and the
-// bucket surgery on RX transitions must be amortised over many skipped
-// listeners before filtering wins. From indexMinListeners up the culled
-// fan-out pays off (2.4× ns/op and 16× fewer callbacks at ~100 listeners,
-// BenchmarkOnAirFanout).
-const (
-	filterAuto uint8 = iota
-	filterForceOn
-	filterForceOff
-)
-
-// indexMinListeners is the population at which auto mode brings the index
-// live. Measured break-even: at ~30 listeners (the five-network strips)
+// indexMinListeners is the population at which the interest index comes
+// live. Below it the index stays dormant: a skipped callback only saves an
+// interface call that early-returns (~nanoseconds), so the per-event merge
+// and the bucket surgery on RX transitions must be amortised over many
+// skipped listeners before filtering wins. From here up the culled fan-out
+// pays off (2.4× ns/op and 16× fewer callbacks at ~100 listeners,
+// BenchmarkOnAirFanout). Measured break-even: at ~30 listeners (the five-network strips)
 // the live index still costs ~10% of a driver's wall-clock — the no-op
 // callbacks it skips are cheaper than the merge plus maintenance — while
 // at ~100 it wins 2.4×. 64 keeps every current experiment cell on the
 // cheap plain walk and engages filtering only for the populations where
 // it is actually profitable.
 const indexMinListeners = 64
-
-// WithInterestFilter forces interest-filtered dissemination on or off,
-// overriding the population-based default. Results are bit-identical
-// either way — the switch exists so the oracle test and benchmarks can
-// compare the two paths, and so the filtered path's delivery contract can
-// be pinned by tests regardless of listener count.
-func WithInterestFilter(on bool) Option {
-	return func(md *Medium) {
-		if on {
-			md.filterMode = filterForceOn
-		} else {
-			md.filterMode = filterForceOff
-		}
-	}
-}
 
 // SetInterest updates a listener's declared interest, incrementally moving
 // it between index buckets. Events whose fan-out was already computed (a
@@ -145,9 +122,8 @@ func (m *Medium) SetInterest(id int, in Interest) {
 	m.addInterest(id, in)
 }
 
-// registerInterest records a freshly attached listener's interest and,
-// in auto mode, brings the index live once the population crosses
-// indexMinListeners (rebuilding the buckets from the recorded interests —
+// registerInterest records a freshly attached listener's interest and
+// brings the index live once the population reaches indexMin (rebuilding the buckets from the recorded interests —
 // they were empty while dormant). Once live, the index stays live: cells
 // only shrink by detaching, and tearing the index down on a shrinking
 // population would buy nothing but churn.
@@ -159,7 +135,7 @@ func (m *Medium) registerInterest(id int, l Listener) {
 	m.interests = append(m.interests, in)
 	if m.indexLive {
 		m.addInterest(id, in)
-	} else if m.filterMode == filterAuto && len(m.listeners) >= indexMinListeners {
+	} else if len(m.listeners) >= m.indexMin {
 		m.buildIndex()
 	}
 }
@@ -265,18 +241,17 @@ func removeID(s []int, id int) []int {
 // lock-on path, so the event filter and the handlers agree by construction
 // and filtered runs stay bit-identical to unfiltered ones.
 //
-// Over a near-field snapshot a pair outside the matrix is first tested
-// against the snapshot's certified loss floor; when that bound alone
-// cannot decide, the exact model loss — the same expression a dense
-// matrix holds — is computed, so dense and near-field snapshots take
-// bit-identical delivery decisions.
+// A pair the snapshot omits is first tested against its certified loss
+// floor; when that bound alone cannot decide, the exact model loss — the
+// expression the snapshot stores for near pairs — is computed, so delivery
+// decisions do not depend on where the snapshot's bound lies.
 func (m *Medium) Reachable(tx *Transmission, listenerID int) bool {
 	if listenerID < 0 || listenerID >= len(m.interests) {
 		return true
 	}
 	floor := m.interests[listenerID].Floor
 	if floor >= 0 || m.lossProvider == nil {
-		return true // no floor declared, or no precomputed matrix to prove anything with
+		return true // no floor declared, or no precomputed losses to prove anything with
 	}
 	power := phy.MaxTxPower
 	if tx.Bandwidth != 0 {
@@ -293,10 +268,7 @@ func (m *Medium) Reachable(tx *Transmission, listenerID int) bool {
 	}
 	loss, ok := m.lossProvider.PairLoss(tx.Src, listenerID, tx.Pos, l.Position())
 	if !ok {
-		if m.farProvider == nil {
-			return true // pair outside the matrix (late attach, moved): no proof, deliver
-		}
-		bound, okf := m.farProvider.PairLossFloor(tx.Src, listenerID, tx.Pos, l.Position())
+		bound, okf := m.lossProvider.PairLossFloor(tx.Src, listenerID, tx.Pos, l.Position())
 		if !okf {
 			return true // outside the snapshot geometry: no proof, deliver
 		}
@@ -390,10 +362,10 @@ func (m *Medium) mergeNarrow(dst []int, tx *Transmission) []int {
 // (far pair, tough floor); the skipped handler is a guaranteed no-op, only
 // the callback count differs.
 func (m *Medium) mergeNarrowSpatial(dst []int, tx *Transmission) ([]int, bool) {
-	if !m.farProvider.Backed(tx.Src, tx.Pos) {
+	if !m.lossProvider.Backed(tx.Src, tx.Pos) {
 		return dst, false
 	}
-	nearIDs, nearLoss := m.farProvider.NearRow(tx.Src)
+	nearIDs, nearLoss := m.lossProvider.NearRow(tx.Src)
 	dst = append(dst, m.allIDs...)
 	dst = append(dst, m.bandsTough[tx.Freq]...)
 	for r, id32 := range nearIDs {

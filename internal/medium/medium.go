@@ -99,15 +99,33 @@ func WithStaticFadingSigma(sigma float64) Option {
 }
 
 // LossProvider supplies precomputed path loss for (src, listener) attach-ID
-// pairs — typically a topology snapshot whose n×n loss matrix was built once
-// and is shared read-only across simulation cells. PairLoss must return the
-// bit-identical value the medium's own path-loss model would compute for the
-// given positions, or ok=false when the pair is outside the precomputed set
-// or the positions no longer match the geometry the provider was built from
-// (late-attached or moved nodes); the medium then falls back to computing
-// the loss itself.
+// pairs — a topology snapshot built once and shared read-only across
+// simulation cells. It stores the pairs within a loss bound and certifies
+// a floor for the rest. All methods are read-only and mutually
+// consistent: a pair is either near (PairLoss answers, and the source
+// appears in the listener's NearRow) or certified far (PairLossFloor
+// answers) — never both.
 type LossProvider interface {
+	// PairLoss returns the bit-identical value the medium's own path-loss
+	// model would compute for the given positions, or ok=false when the
+	// pair is far or the positions no longer match the geometry the
+	// provider was built from (late-attached or moved nodes); the medium
+	// then falls back to computing the loss itself.
 	PairLoss(src, listener int, from, to phy.Position) (loss float64, ok bool)
+	// PairLossFloor returns a floor every certified-far pair's true loss
+	// provably reaches, with ok=false for near pairs or unmatched geometry.
+	PairLossFloor(src, listener int, from, to phy.Position) (floor float64, ok bool)
+	// NearRow returns the ascending node IDs within the near-field bound
+	// of the given node (including itself) and their exact pair losses.
+	// Rows are symmetric views into shared storage — read-only.
+	NearRow(node int) (ids []int32, loss []float64)
+	// Backed reports whether the node is captured at exactly this position.
+	Backed(id int, pos phy.Position) bool
+	// FarField reports the certified loss floor and the worst per-listener
+	// far-source count.
+	FarField() (lossBoundDB float64, maxFarCount int)
+	// NumNodes reports the captured population.
+	NumNodes() int
 }
 
 // WithLossProvider installs a precomputed path-loss source consulted before
@@ -177,21 +195,17 @@ type Medium struct {
 	bands     map[phy.MHz][]int
 	// idFree recycles delivery-set slices across fan-outs.
 	idFree [][]int
-	// filterMode selects how the dissemination filter engages (see the
-	// filterAuto/filterForceOn/filterForceOff constants in interest.go);
 	// indexLive says whether the index buckets are currently maintained
-	// and consulted. In the default auto mode the index stays dormant —
-	// zero per-event and per-retune cost — until the listener population
-	// reaches indexMinListeners, where filtering starts paying for itself.
-	filterMode uint8
-	indexLive  bool
-	dstats     DisseminationStats
+	// and consulted. The index stays dormant — zero per-event and
+	// per-retune cost — until the listener population reaches indexMin
+	// (indexMinListeners outside tests), where filtering starts paying for
+	// itself.
+	indexMin  int
+	indexLive bool
+	dstats    DisseminationStats
 
-	// Spatial tier (farfield.go). farProvider is the lossProvider when it
-	// also certifies far-pair loss floors — resolved once per reset so the
-	// cull's hot path never type-asserts. The remaining fields exist only
-	// while folding is active (farBudgetDB > 0): spatial flags the folded
-	// mode, farUnitMW/farMaxCount/farN/farCullThresh are derived constants,
+	// Spatial tier (farfield.go). These fields exist only while folding is
+	// active (farBudgetDB > 0): spatial flags the folded mode, farUnitMW/farMaxCount/farN/farCullThresh are derived constants,
 	// farBacked tracks (in lockstep with listeners) whether each listener's
 	// position is snapshot-backed, unbackedIDs lists the ones that are not
 	// (ascending), bySrc/unbounded index the active set for the folded
@@ -199,7 +213,6 @@ type Medium struct {
 	// skip, spill backs link slots outside the rank-indexed rows, and
 	// nearScratch is the folded sums' reusable gather buffer.
 	farBudgetDB   float64
-	farProvider   FarFieldProvider
 	spatial       bool
 	farUnitMW     float64
 	farMaxCount   int
@@ -395,9 +408,9 @@ func (m *Medium) reset(keepLinks bool, opts ...Option) {
 	m.fadingSigma = 2
 	m.staticSigma = 3
 	m.lossProvider = nil
-	m.filterMode = filterAuto
+	m.indexMin = indexMinListeners
+	m.indexLive = false
 	m.farBudgetDB = 0
-	m.farProvider = nil
 	m.spatial = false
 	m.farUnitMW = 0
 	m.farMaxCount = 0
@@ -421,9 +434,6 @@ func (m *Medium) reset(keepLinks bool, opts ...Option) {
 			}
 		}
 	}
-	// Forced-on starts with a live (empty) index; auto stays dormant until
-	// the population warrants it; forced-off never builds one.
-	m.indexLive = m.filterMode == filterForceOn
 }
 
 // Rejection exposes the curve so radios share the exact same filter model.
@@ -445,7 +455,7 @@ func (m *Medium) Attach(l Listener) int {
 	}
 	id := len(m.listeners) - 1
 	if m.spatial {
-		backed := m.farProvider.Backed(id, l.Position())
+		backed := m.lossProvider.Backed(id, l.Position())
 		m.farBacked = append(m.farBacked, backed)
 		if !backed {
 			m.unbackedIDs = insertID(m.unbackedIDs, id)
@@ -601,9 +611,9 @@ func (m *Medium) newTransmission() *Transmission {
 // order, the exact order the unfiltered loop visits. Listeners detached
 // after the set was computed (a handler detaching a neighbour) are
 // re-checked per delivery, as before. While the index is dormant (small
-// cell, or filtering forced off) every listener is notified directly —
-// the two paths are bit-identical by construction, so which one runs is
-// purely a cost decision.
+// cell) every listener is notified directly — the two paths are
+// bit-identical by construction, so which one runs is purely a cost
+// decision.
 func (m *Medium) fanout(tx *Transmission, off bool) {
 	m.dstats.Events++
 	if !m.indexLive {
@@ -918,15 +928,23 @@ func (m *Medium) SensedPower(listenerID int, freq phy.MHz, exclude *Transmission
 	return c.dbm
 }
 
-// sensedPowerDirect is the reference ID-ordered sum behind SensedPower.
-// With the far-field fold active a backed listener sums only its near
-// field (farfield.go); both paths visit their transmissions in ID order.
-func (m *Medium) sensedPowerDirect(listenerID int, freq phy.MHz, exclude *Transmission) phy.DBm {
+// sumSet returns the ID-ordered transmissions the listener's power sums
+// visit and the far-field term they add: the whole active set and 0 for a
+// plain listener; with the far-field fold active, a backed listener's
+// near field and the certified aggregate of everything beyond it
+// (farfield.go). Adding the 0 term leaves a plain sum's bits unchanged.
+func (m *Medium) sumSet(listenerID int) (set []*Transmission, farMW float64) {
 	if m.folded(listenerID) {
-		return m.sensedPowerFolded(listenerID, freq, exclude)
+		return m.nearActive(listenerID), m.farFoldMW(listenerID)
 	}
-	total := noiseFloorMW
-	for _, tx := range m.orderedActive() {
+	return m.orderedActive(), 0
+}
+
+// sensedPowerDirect is the reference ID-ordered sum behind SensedPower.
+func (m *Medium) sensedPowerDirect(listenerID int, freq phy.MHz, exclude *Transmission) phy.DBm {
+	set, farMW := m.sumSet(listenerID)
+	total := noiseFloorMW + farMW
+	for _, tx := range set {
 		if exclude != nil && tx.ID == exclude.ID {
 			continue
 		}
@@ -965,13 +983,13 @@ func (m *Medium) SensedCoChannelPower(listenerID int, freq phy.MHz, exclude *Tra
 }
 
 // sensedCoChannelDirect is the reference ID-ordered sum behind
-// SensedCoChannelPower.
+// SensedCoChannelPower. The far-field fold is frequency-blind (its
+// certificate bounds total in-channel power), so a folded co-channel
+// reading carries the same one-sided error bound as SensedPower.
 func (m *Medium) sensedCoChannelDirect(listenerID int, freq phy.MHz, exclude *Transmission) phy.DBm {
-	if m.folded(listenerID) {
-		return m.sensedCoChannelFolded(listenerID, freq, exclude)
-	}
-	total := noiseFloorMW
-	for _, tx := range m.orderedActive() {
+	set, farMW := m.sumSet(listenerID)
+	total := noiseFloorMW + farMW
+	for _, tx := range set {
 		if exclude != nil && tx.ID == exclude.ID {
 			continue
 		}
@@ -1003,12 +1021,11 @@ func (m *Medium) Interference(wanted *Transmission, listenerID int, freq phy.MHz
 }
 
 // interferenceDirect is the reference ID-ordered sum behind Interference.
+// It excludes the noise floor but not the far-field term: a receiver's
+// SINR denominator must account for the folded far field.
 func (m *Medium) interferenceDirect(wanted *Transmission, listenerID int, freq phy.MHz) phy.DBm {
-	if m.folded(listenerID) {
-		return m.interferenceFolded(wanted, listenerID, freq)
-	}
-	total := 0.0
-	for _, tx := range m.orderedActive() {
+	set, total := m.sumSet(listenerID)
+	for _, tx := range set {
 		if tx.ID == wanted.ID || tx.Src == listenerID {
 			continue
 		}

@@ -166,7 +166,7 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 			Y: rng.Float64()*cfg.area - cfg.area/2,
 		}
 	}
-	mopts := []Option{WithInterestFilter(cfg.filterOn)}
+	mopts := []Option{withFilter(cfg.filterOn)}
 	if cfg.noFading {
 		mopts = append(mopts, WithFadingSigma(0), WithStaticFadingSigma(0))
 	}
@@ -181,9 +181,6 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 		snap, err := topology.SnapshotFromSpecsNear(nets, nil, cfg.nearBound)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if snap.Dense() {
-			t.Fatal("near-field snapshot reports Dense")
 		}
 		mopts = append(mopts, WithLossProvider(snap))
 		if cfg.farBudget > 0 {

@@ -72,7 +72,7 @@ func BenchmarkCellSetup(b *testing.B) {
 		}
 	})
 	b.Run("shared-snapshot", func(b *testing.B) {
-		snap, err := topology.NewSnapshot(cfg, sim.NewRNG(1), nil)
+		snap, err := topology.NewSnapshotNear(cfg, sim.NewRNG(1), nil, 150) // every colocated pair is stored
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func BenchmarkCellSetupArena(b *testing.B) {
 		},
 		Layout: topology.LayoutColocated,
 	}
-	snap, err := topology.NewSnapshot(cfg, sim.NewRNG(1), nil)
+	snap, err := topology.NewSnapshotNear(cfg, sim.NewRNG(1), nil, 150) // every colocated pair is stored
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,39 +9,34 @@ import (
 )
 
 // Snapshot is an immutable capture of one generated deployment: the network
-// specifications plus the full node-pair path-loss matrix, precomputed once.
-// Experiment drivers build one snapshot per (configuration, seed) before
-// fanning simulation cells across the worker pool, so every cell that reuses
-// the configuration shares the same placements and geometry read-only
-// instead of regenerating them — and the medium, via the LossProvider hook,
-// skips recomputing per-pair path loss during cell setup and link-cache
-// fills.
+// specifications plus the node-pair path losses within a certified bound,
+// precomputed once. Experiment drivers build one snapshot per
+// (configuration, seed) before fanning simulation cells across the worker
+// pool, so every cell that reuses the configuration shares the same
+// placements and geometry read-only instead of regenerating them — and the
+// medium, via the LossProvider hook, skips recomputing per-pair path loss
+// during cell setup and link-cache fills.
 //
 // Node indices follow testbed attach order: for each network in turn, the
-// sink first, then its senders. The loss matrix is computed with exactly
-// the expression the medium itself uses (model.Loss of the pair distance),
-// so matrix lookups are bit-identical to lazy computation; PairLoss
-// verifies positions before answering and reports ok=false for nodes that
-// moved or attached outside the snapshot (e.g. a late-added interferer),
-// letting the medium fall back to its own model.
-// A snapshot has two representations. The dense form (NewSnapshot,
-// SnapshotFromSpecs) materialises the full n×n matrix. The near-field form
-// (NewSnapshotNear, SnapshotFromSpecsNear) stores only the pairs within a
-// certified loss bound, in compressed sparse rows built through a Grid
-// range query — O(n·k) construction and memory for neighbourhood size k —
-// and answers far pairs with the bound itself via PairLossFloor. Both
-// forms return bit-identical losses for the pairs they do hold.
+// sink first, then its senders. Only pairs within the loss bound are
+// materialised, in compressed sparse rows built through a Grid range
+// query — O(n·k) construction and memory for neighbourhood size k — and
+// far pairs are answered with the bound itself via PairLossFloor. Stored
+// losses are computed with exactly the expression the medium itself uses
+// (model.Loss of the pair distance), so lookups are bit-identical to lazy
+// computation; PairLoss verifies positions before answering and reports
+// ok=false for nodes that moved or attached outside the snapshot (e.g. a
+// late-added interferer), letting the medium fall back to its own model.
 type Snapshot struct {
 	nets  []NetworkSpec
 	pos   []phy.Position
-	loss  []float64 // dense: n×n, row-major loss[src*n+dst]; nil in near-field form
 	n     int
 	model phy.PathLossModel
 
-	// Near-field form: lossBound certifies that every pair absent from the
-	// rows has path loss >= lossBound (nearRange is the matching distance
-	// bound). Row i holds the ascending node IDs within nearRange of node i
-	// (always including i itself) and their losses, CSR-packed:
+	// lossBound certifies that every pair absent from the rows has path
+	// loss >= lossBound (nearRange is the matching distance bound). Row i
+	// holds the ascending node IDs within nearRange of node i (always
+	// including i itself) and their losses, CSR-packed:
 	// nearIDs[nearOff[i]:nearOff[i+1]].
 	lossBound float64
 	nearRange float64
@@ -51,43 +46,9 @@ type Snapshot struct {
 	maxFar    int // max over listeners of (n - row length)
 }
 
-// NewSnapshot generates a deployment from cfg and rng (consuming exactly
-// the draws Generate would) and precomputes its path-loss matrix under
-// model (nil = phy.DefaultPathLoss, the testbed default).
-func NewSnapshot(cfg Config, rng *sim.RNG, model phy.PathLossModel) (*Snapshot, error) {
-	nets, err := Generate(cfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	return SnapshotFromSpecs(nets, model), nil
-}
-
-// SnapshotFromSpecs captures an explicit set of network specifications —
-// for hand-placed topologies — and precomputes the path-loss matrix.
-func SnapshotFromSpecs(nets []NetworkSpec, model phy.PathLossModel) *Snapshot {
-	if model == nil {
-		model = phy.DefaultPathLoss()
-	}
-	s := &Snapshot{nets: copySpecs(nets), model: model}
-	for _, net := range s.nets {
-		s.pos = append(s.pos, net.Sink.Pos)
-		for _, nd := range net.Senders {
-			s.pos = append(s.pos, nd.Pos)
-		}
-	}
-	s.n = len(s.pos)
-	s.loss = make([]float64, s.n*s.n)
-	for i := 0; i < s.n; i++ {
-		for j := 0; j < s.n; j++ {
-			s.loss[i*s.n+j] = model.Loss(s.pos[i].DistanceTo(s.pos[j]))
-		}
-	}
-	return s
-}
-
-// NewSnapshotNear is NewSnapshot in the near-field form: the deployment is
-// generated identically (consuming exactly the draws Generate would) but
-// only pair losses below lossBoundDB are materialised.
+// NewSnapshotNear generates a deployment from cfg and rng (consuming exactly
+// the draws Generate would) and materialises the pair losses below
+// lossBoundDB under model (nil = phy.DefaultPathLoss, the testbed default).
 func NewSnapshotNear(cfg Config, rng *sim.RNG, model phy.PathLossModel, lossBoundDB float64) (*Snapshot, error) {
 	nets, err := Generate(cfg, rng)
 	if err != nil {
@@ -96,9 +57,9 @@ func NewSnapshotNear(cfg Config, rng *sim.RNG, model phy.PathLossModel, lossBoun
 	return SnapshotFromSpecsNear(nets, model, lossBoundDB)
 }
 
-// SnapshotFromSpecsNear captures an explicit set of network specifications
-// in the near-field form: pairs whose path loss is certified to reach
-// lossBoundDB or more never enter the matrix. The model (nil =
+// SnapshotFromSpecsNear captures an explicit set of network specifications —
+// generated or hand-placed: pairs whose path loss is certified to reach
+// lossBoundDB or more are not stored. The model (nil =
 // phy.DefaultPathLoss) must implement phy.RangeInverter so the loss bound
 // converts to a distance bound; losses for retained pairs are computed with
 // exactly the expression the medium uses, so lookups stay bit-identical to
@@ -151,13 +112,13 @@ func SnapshotFromSpecsNear(nets []NetworkSpec, model phy.PathLossModel, lossBoun
 // Networks returns a deep copy of the captured network specifications.
 // Callers mutate their copy freely (per-cell power overrides, extra nodes)
 // without corrupting the snapshot shared across cells; PairLoss's position
-// check keeps the matrix safe against any such mutation.
+// check keeps the stored losses safe against any such mutation.
 func (s *Snapshot) Networks() []NetworkSpec { return copySpecs(s.nets) }
 
-// NumNodes reports the number of nodes captured in the matrix.
+// NumNodes reports the number of nodes captured in the snapshot.
 func (s *Snapshot) NumNodes() int { return s.n }
 
-// Model returns the path-loss model the matrix was computed under.
+// Model returns the path-loss model the losses were computed under.
 func (s *Snapshot) Model() phy.PathLossModel { return s.model }
 
 // PairLoss implements the medium's LossProvider: it returns the precomputed
@@ -174,22 +135,19 @@ func (s *Snapshot) PairLoss(src, listener int, from, to phy.Position) (float64, 
 	if s.pos[src] != from || s.pos[listener] != to {
 		return 0, false
 	}
-	if s.loss != nil {
-		return s.loss[src*s.n+listener], true
-	}
 	if r := s.nearRank(listener, int32(src)); r >= 0 {
 		return s.nearLoss[r], true
 	}
 	return 0, false // far pair: only the floor is known (PairLossFloor)
 }
 
-// PairLossFloor is the near-field counterpart of PairLoss for pairs the
-// matrix deliberately omits: when both nodes match the captured geometry
-// and the pair is certified far, it returns the snapshot's loss bound — a
-// floor every such pair's true loss provably reaches. ok=false for dense
-// snapshots, near pairs (use PairLoss), and unmatched geometry.
+// PairLossFloor is the counterpart of PairLoss for pairs the snapshot
+// deliberately omits: when both nodes match the captured geometry and the
+// pair is certified far, it returns the snapshot's loss bound — a floor
+// every such pair's true loss provably reaches. ok=false for near pairs
+// (use PairLoss) and unmatched geometry.
 func (s *Snapshot) PairLossFloor(src, listener int, from, to phy.Position) (float64, bool) {
-	if s.loss != nil || src < 0 || src >= s.n || listener < 0 || listener >= s.n {
+	if src < 0 || src >= s.n || listener < 0 || listener >= s.n {
 		return 0, false
 	}
 	if s.pos[src] != from || s.pos[listener] != to {
@@ -202,7 +160,7 @@ func (s *Snapshot) PairLossFloor(src, listener int, from, to phy.Position) (floa
 }
 
 // nearRank returns src's index into the CSR arrays of listener's near row,
-// or -1 when the pair is far (or the snapshot is dense).
+// or -1 when the pair is far.
 func (s *Snapshot) nearRank(listener int, src int32) int {
 	lo, hi := int(s.nearOff[listener]), int(s.nearOff[listener+1])
 	for lo < hi {
@@ -222,10 +180,10 @@ func (s *Snapshot) nearRank(listener int, src int32) int {
 // NearRow returns listener's near-field row: the ascending node IDs within
 // the snapshot's distance bound (including listener itself) and their pair
 // losses. The slices are views into the snapshot's CSR arrays — read-only.
-// Nil for dense snapshots. Rows are symmetric: src ∈ NearRow(listener) iff
+// Nil for an out-of-range listener. Rows are symmetric: src ∈ NearRow(listener) iff
 // listener ∈ NearRow(src), with the identical loss value.
 func (s *Snapshot) NearRow(listener int) (ids []int32, loss []float64) {
-	if s.loss != nil || listener < 0 || listener >= s.n {
+	if listener < 0 || listener >= s.n {
 		return nil, nil
 	}
 	lo, hi := s.nearOff[listener], s.nearOff[listener+1]
@@ -239,28 +197,16 @@ func (s *Snapshot) Backed(id int, pos phy.Position) bool {
 	return id >= 0 && id < s.n && s.pos[id] == pos
 }
 
-// FarField describes the near-field form: the certified loss floor of
-// omitted pairs and the worst per-listener count of omitted sources.
-// ok=false for dense snapshots.
-func (s *Snapshot) FarField() (lossBoundDB float64, maxFarCount int, ok bool) {
-	if s.loss != nil || s.nearOff == nil {
-		return 0, 0, false
-	}
-	return s.lossBound, s.maxFar, true
+// FarField reports the certified loss floor of omitted pairs and the worst
+// per-listener count of omitted sources.
+func (s *Snapshot) FarField() (lossBoundDB float64, maxFarCount int) {
+	return s.lossBound, s.maxFar
 }
 
-// Dense reports whether the full n×n matrix is materialised.
-func (s *Snapshot) Dense() bool { return s.loss != nil }
-
-// NearPairs reports the number of materialised pair losses — n² for the
-// dense form, the CSR population (including self pairs) for the near-field
-// form. The O(n·k) memory guarantee tests pin down is this count.
-func (s *Snapshot) NearPairs() int {
-	if s.loss != nil {
-		return s.n * s.n
-	}
-	return len(s.nearIDs)
-}
+// NearPairs reports the number of materialised pair losses: the CSR
+// population, self pairs included. The O(n·k) memory guarantee tests pin
+// down is this count.
+func (s *Snapshot) NearPairs() int { return len(s.nearIDs) }
 
 // copySpecs deep-copies network specifications (the Senders slices are the
 // only shared backing arrays; NodeSpec is a value type).

@@ -18,9 +18,14 @@ func snapshotConfig() Config {
 	}
 }
 
+// testLossBound is the near-field bound the snapshot tests build with:
+// the experiment drivers' 150 dB (~820 m), far beyond the random-field
+// layout's extent, so every pair is stored.
+const testLossBound = 150
+
 func TestSnapshotMatchesGenerate(t *testing.T) {
 	const seed = 11
-	snap, err := NewSnapshot(snapshotConfig(), sim.NewRNG(seed), nil)
+	snap, err := NewSnapshotNear(snapshotConfig(), sim.NewRNG(seed), nil, testLossBound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +50,7 @@ func TestSnapshotMatchesGenerate(t *testing.T) {
 }
 
 func TestSnapshotPairLossMatchesModel(t *testing.T) {
-	snap, err := NewSnapshot(snapshotConfig(), sim.NewRNG(3), nil)
+	snap, err := NewSnapshotNear(snapshotConfig(), sim.NewRNG(3), nil, testLossBound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +81,7 @@ func TestSnapshotPairLossMatchesModel(t *testing.T) {
 }
 
 func TestSnapshotPairLossRejectsMismatch(t *testing.T) {
-	snap, err := NewSnapshot(snapshotConfig(), sim.NewRNG(3), nil)
+	snap, err := NewSnapshotNear(snapshotConfig(), sim.NewRNG(3), nil, testLossBound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +105,7 @@ func TestSnapshotPairLossRejectsMismatch(t *testing.T) {
 }
 
 func TestSnapshotNetworksIsDeepCopy(t *testing.T) {
-	snap, err := NewSnapshot(snapshotConfig(), sim.NewRNG(5), nil)
+	snap, err := NewSnapshotNear(snapshotConfig(), sim.NewRNG(5), nil, testLossBound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +116,7 @@ func TestSnapshotNetworksIsDeepCopy(t *testing.T) {
 	if b[0].Senders[0].TxPower == 99 {
 		t.Error("mutating one copy's sender leaked into the snapshot")
 	}
-	// The matrix still answers for the unmutated geometry.
+	// The snapshot still answers for the unmutated geometry.
 	if _, ok := snap.PairLoss(0, 1, b[0].Sink.Pos, b[0].Senders[0].Pos); !ok {
 		t.Error("PairLoss rejected the original geometry after caller mutation")
 	}

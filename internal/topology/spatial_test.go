@@ -11,9 +11,9 @@ import (
 
 // The spatial tier's geometry layer: the grid index must report exactly
 // the within-radius pairs a brute-force scan finds, and the near-field
-// snapshot must be bit-identical to the dense matrix on every pair it
-// materialises while certifying every omitted pair at or beyond the loss
-// bound.
+// snapshot must be bit-identical to the model's own loss expression on
+// every pair it materialises while certifying every omitted pair at or
+// beyond the loss bound.
 
 func TestGridVisitWithinMatchesBruteForce(t *testing.T) {
 	rng := sim.NewRNG(7)
@@ -66,13 +66,10 @@ func TestNearSnapshotMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense := SnapshotFromSpecs(nets, nil)
-	if near.Dense() || !dense.Dense() {
-		t.Fatalf("Dense(): near %v dense %v, want false/true", near.Dense(), dense.Dense())
-	}
+	model := near.Model()
 	n := near.NumNodes()
-	if n != dense.NumNodes() || n != cfg.NumNodes() {
-		t.Fatalf("NumNodes: near %d dense %d cfg %d", n, dense.NumNodes(), cfg.NumNodes())
+	if n != cfg.NumNodes() {
+		t.Fatalf("NumNodes: near %d cfg %d", n, cfg.NumNodes())
 	}
 
 	pos := make([]phy.Position, 0, n)
@@ -101,20 +98,18 @@ func TestNearSnapshotMatchesDense(t *testing.T) {
 			t.Fatalf("row %d omits the node itself", l)
 		}
 		for s := 0; s < n; s++ {
-			want, ok := dense.PairLoss(s, l, pos[s], pos[l])
-			if !ok {
-				t.Fatalf("dense matrix has no (%d,%d)", s, l)
-			}
+			// The reference: the expression the medium computes lazily.
+			want := model.Loss(pos[s].DistanceTo(pos[l]))
 			if rowLoss, isNear := inRow[int32(s)]; isNear {
 				nearPairs++
-				// Materialised pairs are bit-identical to the dense matrix
+				// Materialised pairs are bit-identical to the reference
 				// through every access path.
 				if rowLoss != want {
-					t.Fatalf("pair (%d,%d): near row loss %v, dense %v", s, l, rowLoss, want)
+					t.Fatalf("pair (%d,%d): near row loss %v, reference %v", s, l, rowLoss, want)
 				}
 				got, ok := near.PairLoss(s, l, pos[s], pos[l])
 				if !ok || got != want {
-					t.Fatalf("pair (%d,%d): near PairLoss (%v,%v), dense %v", s, l, got, ok, want)
+					t.Fatalf("pair (%d,%d): near PairLoss (%v,%v), reference %v", s, l, got, ok, want)
 				}
 				if _, okf := near.PairLossFloor(s, l, pos[s], pos[l]); okf {
 					t.Fatalf("pair (%d,%d) is near but PairLossFloor answered", s, l)
@@ -152,9 +147,9 @@ func TestNearSnapshotMatchesDense(t *testing.T) {
 	if frac := float64(nearPairs) / float64(n*n); frac > 0.25 {
 		t.Fatalf("near fraction %.2f — layout not sparse enough to prove O(n·k) storage", frac)
 	}
-	_, maxFar, ok := near.FarField()
-	if !ok {
-		t.Fatal("near snapshot reports dense in FarField()")
+	gotBound, maxFar := near.FarField()
+	if gotBound != bound {
+		t.Fatalf("FarField bound = %v, want %v", gotBound, float64(bound))
 	}
 	worstFar := 0
 	for l := 0; l < n; l++ {
