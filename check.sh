@@ -4,8 +4,20 @@
 set -eu
 cd "$(dirname "$0")"
 
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt would reformat:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 echo "== go vet ./..."
 go vet ./...
+echo "== perfbench module: vet + test"
+# perfbench is its own module, so the root ./... patterns never compile it;
+# an API it uses that goes away would otherwise break only the benchmark.
+GOWORK=off go -C perfbench vet ./...
+GOWORK=off go -C perfbench test ./...
 echo "== dcnlint ./... (determinism, unit-safety, lifecycle + immutability analyzers)"
 go run ./cmd/dcnlint ./...
 if [ "${LINT_FULL:-0}" = "1" ]; then
@@ -17,6 +29,23 @@ if [ "${LINT_FULL:-0}" = "1" ]; then
 fi
 echo "== go build ./..."
 go build ./...
+
+# require_tests PKG PATTERN... fails unless every -run alternative matches
+# at least one test in PKG: `go test -run 'A|B'` passes silently when a
+# name matches nothing, so a renamed or deleted test would drop out of a
+# named subset unnoticed.
+require_tests() {
+	pkg=$1
+	shift
+	listed=$(go test -list '.*' "$pkg")
+	for name in "$@"; do
+		if ! printf '%s\n' "$listed" | grep -q -- "$name"; then
+			echo "check.sh: no test in $pkg matches $name" >&2
+			exit 1
+		fi
+	done
+}
+
 echo "== dissemination oracle + filter tests under -race"
 # The interest-filter correctness surface, run first and by name: the
 # brute-force sensing oracle (filter on and off), the filter-on/off and
@@ -24,9 +53,9 @@ echo "== dissemination oracle + filter tests under -race"
 # oracle, the frozen-delivery-set edge cases, and the arena recycling
 # contract. A filtering or spatial-tier bug fails here in seconds
 # instead of somewhere inside the full suite below.
-go test -race -count=1 \
-	-run 'TestCachedSumsMatchBruteForce|TestFilteredChurnBitIdentical|TestSpatialExactChurnBitIdentical|TestFoldedChurnBoundedError|TestRetuneWhileOnAir|TestDetachWithPendingInterest|TestWidebandDeliverySpansBands' \
-	./internal/medium
+medium_race='TestCachedSumsMatchBruteForce|TestFilteredChurnBitIdentical|TestSpatialExactChurnBitIdentical|TestFoldedChurnBoundedError|TestRetuneWhileOnAir|TestDetachWithPendingInterest|TestWidebandDeliverySpansBands'
+require_tests ./internal/medium $(echo "$medium_race" | tr '|' ' ')
+go test -race -count=1 -run "$medium_race" ./internal/medium
 go test -race -count=1 ./internal/arena ./internal/sim
 echo "== crash-safety surface under -race"
 # Interrupt/resume bit-identity (the representative subset of the full
@@ -34,12 +63,12 @@ echo "== crash-safety surface under -race"
 # environmental retry classifier, store corruption recovery, and the
 # budget/watchdog machinery — by name, so a crash-safety regression
 # fails in seconds instead of somewhere inside the full suite below.
-go test -race -count=1 \
-	-run 'TestCrashResumeBitIdentitySubset|TestRunEngine' \
-	./internal/experiments
-go test -race -count=1 \
-	-run 'TestKeepGoingBudgetTripMarksTables|TestSignalCancelsWithResumeHint|TestExitCodeContract' \
-	./internal/cli
+experiments_race='TestCrashResumeBitIdentitySubset|TestRunEngine'
+cli_race='TestKeepGoingBudgetTripMarksTables|TestSignalCancelsWithResumeHint|TestExitCodeContract'
+require_tests ./internal/experiments $(echo "$experiments_race" | tr '|' ' ')
+require_tests ./internal/cli $(echo "$cli_race" | tr '|' ' ')
+go test -race -count=1 -run "$experiments_race" ./internal/experiments
+go test -race -count=1 -run "$cli_race" ./internal/cli
 go test -race -count=1 ./internal/store ./internal/watchdog ./internal/parallel
 echo "== go test -race ./..."
 # Race instrumentation is 5-20x on a single core; give the experiment

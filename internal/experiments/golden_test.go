@@ -63,7 +63,9 @@ func checkGolden(t *testing.T, key, rendered string) {
 		t.Fatalf("golden manifest: %v (record it with -update)", err)
 	}
 	if arch != runtime.GOARCH {
-		t.Skipf("golden manifest recorded on GOARCH=%s, running on %s: the compiler may fuse multiply-adds into FMA instructions on some architectures, which changes float bits, so hashes are only compared on the recording arch",
+		t.Skipf("golden manifest recorded on GOARCH=%s, running on %s: Go may fuse "+
+			"multiply-adds into FMA instructions on some architectures, which changes "+
+			"float bits, so hashes are compared only on the recording arch",
 			arch, runtime.GOARCH)
 	}
 	want, ok := entries[key]

@@ -22,10 +22,10 @@ func (s *stream) draw() float64 {
 }
 
 func globals() {
-	_ = rand.Float64()    // want "math/rand global Float64"
-	_ = rand.Intn(7)      // want "math/rand global Intn"
-	rand.Seed(42)         // want "math/rand global Seed"
-	f := rand.Perm        // want "math/rand global Perm"
+	_ = rand.Float64() // want "math/rand global Float64"
+	_ = rand.Intn(7)   // want "math/rand global Intn"
+	rand.Seed(42)      // want "math/rand global Seed"
+	f := rand.Perm     // want "math/rand global Perm"
 	_ = f
 }
 
@@ -34,9 +34,9 @@ func unseeded(src rand.Source) {
 }
 
 func clocks() time.Duration {
-	t := time.Now()          // want "time.Now reads the wall clock"
-	time.Sleep(time.Second)  // want "time.Sleep reads the wall clock"
-	return time.Since(t)     // want "time.Since reads the wall clock"
+	t := time.Now()         // want "time.Now reads the wall clock"
+	time.Sleep(time.Second) // want "time.Sleep reads the wall clock"
+	return time.Since(t)    // want "time.Since reads the wall clock"
 }
 
 func conversionsAreFine(d time.Duration) int64 {

@@ -96,12 +96,12 @@ func (m *Medium) DisseminationStats() DisseminationStats { return m.dstats }
 // and the bucket surgery on RX transitions must be amortised over many
 // skipped listeners before filtering wins. From here up the culled fan-out
 // pays off (2.4× ns/op and 16× fewer callbacks at ~100 listeners,
-// BenchmarkOnAirFanout). Measured break-even: at ~30 listeners (the five-network strips)
-// the live index still costs ~10% of a driver's wall-clock — the no-op
-// callbacks it skips are cheaper than the merge plus maintenance — while
-// at ~100 it wins 2.4×. 64 keeps every current experiment cell on the
-// cheap plain walk and engages filtering only for the populations where
-// it is actually profitable.
+// BenchmarkOnAirFanout). Measured break-even: at ~30 listeners (the
+// five-network strips) the live index still costs ~10% of a driver's
+// wall-clock — the no-op callbacks it skips are cheaper than the merge
+// plus maintenance — while at ~100 it wins 2.4×. 64 keeps every current
+// experiment cell on the cheap plain walk and engages filtering only for
+// the populations where it is actually profitable.
 const indexMinListeners = 64
 
 // SetInterest updates a listener's declared interest, incrementally moving
@@ -123,10 +123,11 @@ func (m *Medium) SetInterest(id int, in Interest) {
 }
 
 // registerInterest records a freshly attached listener's interest and
-// brings the index live once the population reaches indexMin (rebuilding the buckets from the recorded interests —
-// they were empty while dormant). Once live, the index stays live: cells
-// only shrink by detaching, and tearing the index down on a shrinking
-// population would buy nothing but churn.
+// brings the index live once the population reaches indexMin (rebuilding
+// the buckets from the recorded interests — they were empty while
+// dormant). Once live, the index stays live: cells only shrink by
+// detaching, and tearing the index down on a shrinking population would
+// buy nothing but churn.
 func (m *Medium) registerInterest(id int, l Listener) {
 	in := Interest{} // ScopeAll: legacy listeners hear everything
 	if il, ok := l.(InterestedListener); ok {

@@ -205,7 +205,8 @@ type Medium struct {
 	dstats    DisseminationStats
 
 	// Spatial tier (farfield.go). These fields exist only while folding is
-	// active (farBudgetDB > 0): spatial flags the folded mode, farUnitMW/farMaxCount/farN/farCullThresh are derived constants,
+	// active (farBudgetDB > 0): spatial flags the folded mode,
+	// farUnitMW/farMaxCount/farN/farCullThresh are derived constants,
 	// farBacked tracks (in lockstep with listeners) whether each listener's
 	// position is snapshot-backed, unbackedIDs lists the ones that are not
 	// (ascending), bySrc/unbounded index the active set for the folded
