@@ -30,17 +30,15 @@ fi
 echo "== go build ./..."
 go build ./...
 
-# require_tests PKG PATTERN... fails unless every -run alternative matches
+# require_tests PKG 'A|B|...' fails unless every -run alternative matches
 # at least one test in PKG: `go test -run 'A|B'` passes silently when a
 # name matches nothing, so a renamed or deleted test would drop out of a
 # named subset unnoticed.
 require_tests() {
-	pkg=$1
-	shift
-	listed=$(go test -list '.*' "$pkg")
-	for name in "$@"; do
+	listed=$(go test -list '.*' "$1")
+	for name in $(echo "$2" | tr '|' ' '); do
 		if ! printf '%s\n' "$listed" | grep -q -- "$name"; then
-			echo "check.sh: no test in $pkg matches $name" >&2
+			echo "check.sh: no test in $1 matches $name" >&2
 			exit 1
 		fi
 	done
@@ -54,7 +52,7 @@ echo "== dissemination oracle + filter tests under -race"
 # contract. A filtering or spatial-tier bug fails here in seconds
 # instead of somewhere inside the full suite below.
 medium_race='TestCachedSumsMatchBruteForce|TestFilteredChurnBitIdentical|TestSpatialExactChurnBitIdentical|TestFoldedChurnBoundedError|TestRetuneWhileOnAir|TestDetachWithPendingInterest|TestWidebandDeliverySpansBands'
-require_tests ./internal/medium $(echo "$medium_race" | tr '|' ' ')
+require_tests ./internal/medium "$medium_race"
 go test -race -count=1 -run "$medium_race" ./internal/medium
 go test -race -count=1 ./internal/arena ./internal/sim
 echo "== crash-safety surface under -race"
@@ -65,8 +63,8 @@ echo "== crash-safety surface under -race"
 # fails in seconds instead of somewhere inside the full suite below.
 experiments_race='TestCrashResumeBitIdentitySubset|TestRunEngine'
 cli_race='TestKeepGoingBudgetTripMarksTables|TestSignalCancelsWithResumeHint|TestExitCodeContract'
-require_tests ./internal/experiments $(echo "$experiments_race" | tr '|' ' ')
-require_tests ./internal/cli $(echo "$cli_race" | tr '|' ' ')
+require_tests ./internal/experiments "$experiments_race"
+require_tests ./internal/cli "$cli_race"
 go test -race -count=1 -run "$experiments_race" ./internal/experiments
 go test -race -count=1 -run "$cli_race" ./internal/cli
 go test -race -count=1 ./internal/store ./internal/watchdog ./internal/parallel

@@ -151,8 +151,8 @@ type seedTopos struct {
 // snapshot uses: pairs whose path loss provably reaches it are never
 // materialised. The paper's layouts span meters, so their pairs are all
 // near-field and the rows hold every pair, while city-scale drivers get
-// O(n·k) snapshots from the same code path. 150 dB is ~820 m under the default indoor model, and
-// leaves a certified-far transmitter at least 16 dB below the weakest
+// O(n·k) snapshots from the same code path. 150 dB is ~820 m under the
+// default indoor model, and leaves a certified-far transmitter at least 16 dB below the weakest
 // interest floor in use (phy.Sensitivity) even with the full
 // phy.ReachMarginDB fade allowance.
 const spatialLossBoundDB = 150
