@@ -25,7 +25,7 @@ vet:
 
 ## lint: the project-specific go/analysis suite (detsource, maporder,
 ## dbmunits, confinedgo, resetcomplete, seedtaint, deliveryfreeze,
-## leasepair, snapfreeze) with the interprocedural call-graph engine.
+## snapfreeze) with the interprocedural call-graph engine.
 ## Offline: stdlib-only driver.
 lint:
 	$(GO) run ./cmd/dcnlint ./...
@@ -59,7 +59,7 @@ bench:
 benchsmoke:
 	$(GO) run ./cmd/dcnbench -bench 'KernelScheduleCancel|SensedPowerDense|OnAirFanout$$' \
 		-benchtime 1x -pkgs ./internal/sim,./internal/medium -out /dev/null
-	$(GO) run ./cmd/dcnbench -bench 'CellSetupArena' \
+	$(GO) run ./cmd/dcnbench -bench 'CellSetup' \
 		-benchtime 1x -pkgs ./internal/testbed -out /dev/null
 	$(GO) run ./cmd/dcnbench -bench 'SensedPower5kNodes|OnAirFanout5kNodes' \
 		-benchtime 1x -pkgs ./internal/medium -out /dev/null

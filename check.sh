@@ -48,13 +48,13 @@ echo "== dissemination oracle + filter tests under -race"
 # The interest-filter correctness surface, run first and by name: the
 # brute-force sensing oracle (filter on and off), the filter-on/off and
 # spatial-exact bit-identity replays, the folded-mode bounded-error
-# oracle, the frozen-delivery-set edge cases, and the arena recycling
-# contract. A filtering or spatial-tier bug fails here in seconds
+# oracle and the frozen-delivery-set edge cases, then the kernel's own
+# tests. A filtering, spatial-tier or scheduler bug fails here in seconds
 # instead of somewhere inside the full suite below.
 medium_race='TestCachedSumsMatchBruteForce|TestFilteredChurnBitIdentical|TestSpatialExactChurnBitIdentical|TestFoldedChurnBoundedError|TestRetuneWhileOnAir|TestDetachWithPendingInterest|TestWidebandDeliverySpansBands'
 require_tests ./internal/medium "$medium_race"
 go test -race -count=1 -run "$medium_race" ./internal/medium
-go test -race -count=1 ./internal/arena ./internal/sim
+go test -race -count=1 ./internal/sim
 echo "== crash-safety surface under -race"
 # Interrupt/resume bit-identity (the representative subset of the full
 # 17-table suite), keep-going failure collection, the deterministic-vs-
@@ -75,7 +75,7 @@ go test -race -timeout 1800s ./...
 echo "== bench smoke (1 iteration)"
 go run ./cmd/dcnbench -bench 'KernelScheduleCancel|SensedPowerDense|OnAirFanout$' \
 	-benchtime 1x -pkgs ./internal/sim,./internal/medium -out /dev/null
-go run ./cmd/dcnbench -bench 'CellSetupArena' \
+go run ./cmd/dcnbench -bench 'CellSetup' \
 	-benchtime 1x -pkgs ./internal/testbed -out /dev/null
 # City-scale smoke: one iteration proves the 5,000-node spatial-tier
 # benchmarks still set up (near snapshot build, far-field fold, grid

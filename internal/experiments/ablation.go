@@ -60,7 +60,6 @@ func AblationDCN(opts Options) (AblationResult, *Table) {
 	})
 	grid := runGrid(opts, len(variants), func(cell int, seed int64) float64 {
 		tb := ablationRun(seed, topos.at(seed), variants[cell].cfg, opts)
-		defer tb.Close()
 		return tb.OverallThroughput()
 	})
 	totals := make(map[string]float64, len(variants))
@@ -135,7 +134,6 @@ func EnergyComparison(opts Options) (EnergyResult, *Table) {
 			topos = dcnTopos
 		}
 		tb := bandDesign(opts, seed, topos.at(seed), nonOrtho)
-		defer tb.Close()
 		tb.Run(opts.Warmup, opts.Measure)
 		var c cellSums
 		c.Seconds = tb.MeasuredDuration().Seconds()
@@ -215,7 +213,6 @@ func CaseIIRecovery(opts Options) (CaseIIRecoveryResult, *Table) {
 		disableCaseII := cell == 1
 		snap := topos.at(seed)
 		tb := newCellTestbed(opts, testbed.Options{Seed: seed, Topology: snap})
-		defer tb.Close()
 		{
 			nets := snap.Networks()
 			mid := plan.MiddleIndex()

@@ -37,16 +37,14 @@ func BeaconMode(opts Options) (BeaconModeResult, *Table) {
 	grid := runGrid(opts, 2, func(cell int, seed int64) float64 {
 		useDCN := cell == 1
 		{
-			core := leaseCore(opts, seed)
-			defer core.Release()
-			k := core.Kernel
+			k, m := newCellCore(opts, seed)
 			sched := beacon.Schedule{BeaconOrder: 3, SuperframeOrder: 3}
 
 			const pans = 4
 			coords := make([]*beacon.Coordinator, pans)
 			addr := frame.Address(1)
 			newRadio := func(x, y float64, freq phy.MHz) *radio.Radio {
-				r := core.NewRadio(radio.Config{
+				r := radio.New(k, m, radio.Config{
 					Pos:          phy.Position{X: x, Y: y},
 					Freq:         freq,
 					TxPower:      0,

@@ -49,7 +49,6 @@ func runCase(layout topology.Layout, opts Options) CaseResult {
 			topos = cfdTopos
 		}
 		tb := caseDesign(opts, seed, topos.at(seed), cell == 2)
-		defer tb.Close()
 		tb.Run(opts.Warmup, opts.Measure)
 		return tb.OverallThroughput()
 	})

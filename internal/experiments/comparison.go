@@ -73,7 +73,6 @@ func Fig19(opts Options) (Fig19Result, *Table) {
 			topos = dcnTopos
 		}
 		tb := bandDesign(opts, seed, topos.at(seed), nonOrtho)
-		defer tb.Close()
 		tb.Run(opts.Warmup, opts.Measure)
 		return cellResult{Per: tb.PerNetworkThroughput(), Total: tb.OverallThroughput()}
 	})
@@ -163,7 +162,6 @@ func Fig20and21(opts Options) (Fig20Result, *Table, *Table) {
 		}
 		nets[mid].Sink.TxPower = p
 		tb := newCellTestbed(opts, testbed.Options{Seed: seed, Topology: snap})
-		defer tb.Close()
 		for _, spec := range nets {
 			tb.AddNetwork(spec, testbed.NetworkConfig{Scheme: testbed.SchemeDCN})
 		}
@@ -225,7 +223,6 @@ func TableI(opts Options) (TableIResult, *Table) {
 	topos := snapshotSeeds(opts, bandConfig(true, topology.LayoutColocated, nil))
 	rows := runSeeds(opts, func(seed int64) []float64 {
 		tb := bandDesign(opts, seed, topos.at(seed), true)
-		defer tb.Close()
 		tb.Run(opts.Warmup, opts.Measure)
 		return tb.PerNetworkThroughput()
 	})

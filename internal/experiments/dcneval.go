@@ -54,7 +54,6 @@ func runFiveNetworksSet(variants []fiveNetsVariant, opts Options) [][]float64 {
 	grid := runGrid(opts, len(variants), func(cell int, seed int64) []float64 {
 		v := variants[cell]
 		tb := fiveNetworks(opts, seed, topos[v.cfd].at(seed), v.dcnOn)
-		defer tb.Close()
 		tb.Run(opts.Warmup, opts.Measure)
 		return tb.PerNetworkThroughput()
 	})

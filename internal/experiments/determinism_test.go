@@ -83,14 +83,13 @@ func TestCoexistenceWorkerCountInvariant(t *testing.T) {
 // TestGoldenTablesWorkerInvariant renders 17 golden experiment tables —
 // the motivation, CCA-study, DCN-evaluation, headline and extension
 // figures the report is built from — at Workers=1 and Workers=8 and
-// requires byte-identical output. Everything runs through the cross-cell
-// arena (recycled kernels, media, radios) and the dissemination layer in
-// its default auto mode, so this is the PR-level assertion that neither
-// core recycling, nor the filter's engagement decision, nor the worker
-// schedule (which decides *which* recycled core a cell gets) can move a
-// single byte of any table. The Workers=1 bytes are additionally checked
-// against the committed golden manifest, so a change that moves every
-// worker count alike fails too.
+// requires byte-identical output. Every cell builds its own kernel,
+// medium and radios, and the dissemination layer runs in its default
+// auto mode, so this is the PR-level assertion that neither the filter's
+// engagement decision nor the worker schedule can move a single byte of
+// any table. The Workers=1 bytes are additionally checked against the
+// committed golden manifest, so a change that moves every worker count
+// alike fails too.
 func TestGoldenTablesWorkerInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders 17 tables twice; skipped in -short")

@@ -91,7 +91,6 @@ func (r FaultEvalResult) Row(m FaultModel, scheme string) *FaultRow {
 // watchdog stats of the target network, injector stats).
 func faultRun(seed int64, snap *topology.Snapshot, fs faultScheme, model FaultModel, opts Options) FaultRow {
 	tb := newCellTestbed(opts, testbed.Options{Seed: seed, Topology: snap})
-	defer tb.Close()
 	cfg := testbed.NetworkConfig{Scheme: fs.scheme}
 	if fs.watchdog {
 		cfg.DCN = watchdogConfig()

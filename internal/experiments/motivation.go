@@ -47,7 +47,6 @@ func Fig1(opts Options) (Fig1Result, *Table) {
 	grid := runGrid(opts, len(cases), func(cell int, seed int64) []float64 {
 		snap := topos[cell].at(seed)
 		tb := newCellTestbed(opts, testbed.Options{Seed: seed, Topology: snap})
-		defer tb.Close()
 		for _, spec := range snap.Networks() {
 			tb.AddNetwork(spec, testbed.NetworkConfig{Scheme: testbed.SchemeFixed})
 		}
@@ -155,13 +154,11 @@ var wifiPairSnap = sync.OnceValue(func() *topology.Snapshot {
 // wifiPairThroughput measures link A's delivered packets with link B
 // offset by sep Wi-Fi channels (sep = 99 isolates link A).
 func wifiPairThroughput(seed int64, sep int, opts Options) float64 {
-	core := leaseCore(opts, seed,
+	k, m := newCellCore(opts, seed,
 		medium.WithRejection(net80211.OverlapCurve{}),
 		medium.WithFadingSigma(1),
 		medium.WithStaticFadingSigma(0),
 		medium.WithLossProvider(wifiPairSnap()))
-	defer core.Release()
-	k, m := core.Kernel, core.Medium
 	sndA := net80211.NewStation(k, m, "a.tx", phy.Position{X: 0, Y: 0}, 1, 0)
 	rcvA := net80211.NewStation(k, m, "a.rx", phy.Position{X: 1, Y: 0}, 1, 0)
 	rcvA.WatchSrc = 0 // count only link A's own packets
@@ -197,7 +194,6 @@ func wpanPairThroughput(seed int64, sep int, opts Options) float64 {
 	tb := newCellTestbed(opts, testbed.Options{
 		Seed: seed, StaticFadingSigma: -1, Topology: wpanPairSnap(),
 	})
-	defer tb.Close()
 	specA := topology.NetworkSpec{
 		Freq:    2412,
 		Sink:    topology.NodeSpec{Pos: phy.Position{X: 1, Y: 0}},
@@ -291,7 +287,6 @@ func cprrRun(seed int64, cfd phy.MHz, opts Options) (normalCPRR, attackerCPRR fl
 	tb := newCellTestbed(opts, testbed.Options{
 		Seed: seed, StaticFadingSigma: -1, Topology: cprrSnap(),
 	})
-	defer tb.Close()
 	normal := tb.AddNetwork(topology.NetworkSpec{
 		Freq:    2460,
 		Sink:    topology.NodeSpec{Pos: phy.Position{X: 0.5, Y: 0}},

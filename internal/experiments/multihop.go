@@ -84,9 +84,7 @@ func multihopRun(opts Options, useDCN bool) MultihopRow {
 	const trees = 6
 	type seedSums struct{ Delivered, Generated, HopsW, Seconds float64 }
 	cells := runSeeds(opts, func(seed int64) seedSums {
-		core := leaseCore(opts, seed)
-		defer core.Release()
-		k, m := core.Kernel, core.Medium
+		k, m := newCellCore(opts, seed)
 
 		// Channel plans: DCN gets six CFD=3 channels; ZigBee packs six
 		// trees onto four orthogonal channels via the greedy assignment

@@ -77,7 +77,6 @@ func Scarcity(opts Options) (ScarcityResult, *Table) {
 			}
 		}
 		tb := newCellTestbed(opts, testbed.Options{Seed: seed, Topology: snap})
-		defer tb.Close()
 		for _, spec := range nets {
 			tb.AddNetwork(spec, testbed.NetworkConfig{Scheme: scheme})
 		}

@@ -36,9 +36,7 @@ func TSCH(opts Options) (TSCHResult, *Table) {
 	type seedSums struct{ Delivered, Generated float64 }
 	run := func(hops []phy.MHz, offsets []int) (rate, ratio float64) {
 		cells := runSeeds(opts, func(seed int64) seedSums {
-			core := leaseCore(opts, seed)
-			defer core.Release()
-			k, m := core.Kernel, core.Medium
+			k, m := newCellCore(opts, seed)
 
 			var cells []tsch.Cell
 			for i := 0; i < 6; i++ {

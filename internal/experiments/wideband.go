@@ -96,7 +96,6 @@ func widebandRun(nChannels int, opts Options) Fig30Result {
 	grid := runGrid(opts, 2, func(cell int, seed int64) []float64 {
 		snap := topos.at(seed)
 		tb := newCellTestbed(opts, testbed.Options{Seed: seed, Topology: snap})
-		defer tb.Close()
 		scheme := testbed.SchemeFixed
 		if cell == 1 {
 			scheme = testbed.SchemeDCN

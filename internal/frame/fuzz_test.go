@@ -2,6 +2,7 @@ package frame
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -50,6 +51,38 @@ func FuzzFCS(f *testing.F) {
 		corrupted[bit/8] ^= 1 << (bit % 8)
 		if _, err := Decode(corrupted); err == nil {
 			t.Fatalf("single-bit corruption at bit %d went undetected", bit)
+		}
+	})
+}
+
+// FuzzDecode feeds arbitrary bytes to Decode. FuzzFCS only ever decodes
+// its own encodings; this target covers what a corrupted or hostile
+// buffer can do. Decode must never panic, and a buffer it accepts must
+// describe a frame of exactly its length that encodes again.
+func FuzzDecode(f *testing.F) {
+	valid, err := (&Frame{Type: TypeData, Seq: 7, PAN: 0x22, Dst: 1, Src: 2, Payload: []byte("hello")}).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	// A header whose frame-control field Encode never writes, sealed
+	// with a correct FCS so it gets past the checksum.
+	odd := []byte{0xff, 0xff, 1, 2, 3, 4, 5, 6, 7}
+	odd = binary.LittleEndian.AppendUint16(odd, FCS(odd))
+	f.Add(valid)
+	f.Add(odd)
+	f.Add(valid[:HeaderBytes])
+	f.Add(append(bytes.Clone(valid), make([]byte, MaxMPDU)...))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		fr, err := Decode(buf)
+		if err != nil {
+			return
+		}
+		if fr.MPDUBytes() != len(buf) {
+			t.Fatalf("decoded frame spans %d MPDU bytes, input had %d", fr.MPDUBytes(), len(buf))
+		}
+		if _, err := fr.Encode(); err != nil {
+			t.Fatalf("decoded frame does not encode: %v", err)
 		}
 	})
 }

@@ -7,7 +7,6 @@ func All() []*Analyzer {
 		Dbmunits,
 		Deliveryfreeze,
 		Detsource,
-		Leasepair,
 		Maporder,
 		Resetcomplete,
 		Seedtaint,

@@ -54,11 +54,6 @@ func TestDbmunitsSummaries(t *testing.T) {
 	linttest.Run(t, lint.Dbmunits, "dbmhelp")
 }
 
-func TestLeasepair(t *testing.T) {
-	linttest.Run(t, lint.Leasepair, "internal/leasefix", "internal/arena",
-		"internal/testbed")
-}
-
 func TestSnapfreeze(t *testing.T) {
 	linttest.Run(t, lint.Snapfreeze, "snapuse", "internal/topology")
 }
@@ -68,7 +63,7 @@ func TestSnapfreeze(t *testing.T) {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"confinedgo", "dbmunits", "deliveryfreeze", "detsource",
-		"leasepair", "maporder", "resetcomplete", "seedtaint", "snapfreeze",
+		"maporder", "resetcomplete", "seedtaint", "snapfreeze",
 	}
 	all := lint.All()
 	if len(all) != len(want) {

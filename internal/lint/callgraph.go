@@ -10,8 +10,7 @@ import (
 // Module is the whole-program view behind the interprocedural analyzers:
 // a conservative call graph over every package handed to RunAnalyzers,
 // plus lazily computed per-function summaries (nondeterminism sources
-// reached, seed-parameter obligations, dBm/mW return units, lease
-// hand-offs). Static calls are resolved exactly through go/types;
+// reached, seed-parameter obligations, dBm/mW return units). Static calls are resolved exactly through go/types;
 // interface and function-value calls are over-approximated by signature,
 // pruned to the caller's import closure. The graph only spans packages
 // that were loaded for analysis — a single-package dcnlint run degrades
@@ -30,9 +29,8 @@ type Module struct {
 	methodIndex map[string][]*modFunc
 	closures    map[*types.Package]map[string]bool
 
-	src         map[*modFunc]*sourceSummary // lazily built by sourceSummaries
-	units       map[string]unit             // lazily built by unitSummaries
-	leaseReturn map[string]bool             // lazily built by leaseReturners
+	src   map[*modFunc]*sourceSummary // lazily built by sourceSummaries
+	units map[string]unit             // lazily built by unitSummaries
 }
 
 // modFunc is one function declaration in the module. FuncLit bodies are
@@ -307,8 +305,6 @@ func internalSegment(path string) string {
 	return ""
 }
 
-func isArenaPkg(path string) bool    { return internalSegment(path) == "arena" }
-func isTestbedPkg(path string) bool  { return internalSegment(path) == "testbed" }
 func isTopologyPkg(path string) bool { return internalSegment(path) == "topology" }
 
 // isQuarantinedPkg reports whether the package is one of the

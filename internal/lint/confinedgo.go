@@ -16,9 +16,9 @@ import (
 // Everywhere else a `go` statement would let scheduler timing perturb
 // event order.
 //
-// sync.Mutex and sync.OnceValue stay legal: guarding a pool that the
-// parallel engine's workers share (internal/arena) and memoizing
-// immutable snapshots are deterministic uses that create no goroutines.
+// sync.Mutex and sync.OnceValue stay legal: guarding state the parallel
+// engine's workers share and memoizing immutable snapshots are
+// deterministic uses that create no goroutines.
 var Confinedgo = &Analyzer{
 	Name: "confinedgo",
 	Doc: "forbid go statements, sync.WaitGroup and channel creation outside " +

@@ -5,9 +5,8 @@
 // (detsource), no order-dependent work inside map iteration (maporder),
 // no mixing of dBm and milliwatt quantities in arithmetic (dbmunits),
 // concurrency confined to internal/parallel (confinedgo),
-// constructor/Reset parity for every arena-recycled type (resetcomplete),
-// every RNG seeded from the cell's (config, seed) tuple (seedtaint),
-// every arena lease paired with Core.Release (leasepair), and
+// constructor/Reset parity for every resettable type (resetcomplete),
+// every RNG seeded from the cell's (config, seed) tuple (seedtaint), and
 // topology.Snapshot immutability after construction (snapfreeze).
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis —
@@ -24,8 +23,7 @@
 // computed to fixed point. detsource and seedtaint flag sim-package
 // calls into helper chains that transitively reach a nondeterminism
 // sink, printing the path; dbmunits classifies neutral-named helpers by
-// their return units; leasepair treats helpers that visibly hand a
-// lease through as lease sites. Summaries never propagate out of
+// their return units. Summaries never propagate out of
 // simulation packages (the sink is flagged there directly), the
 // quarantined packages (internal/watchdog and friends use the wall
 // clock by charter), or test files.
@@ -41,7 +39,7 @@
 // reported, as is one naming an unknown analyzer or one that suppresses
 // nothing. An interprocedural finding is suppressed at the call site it
 // is reported at, and its reason must name the sink being waived
-// (time.Now, rand.NewSource, Core.Release, ...) so annotations state
+// (time.Now, rand.NewSource, NearRow, ...) so annotations state
 // what they exempt. resetcomplete additionally honours a field-level annotation:
 // a struct field whose declaration carries a "//lint:keep <reason>"
 // comment is deliberately retained across Reset and exempt from the
@@ -96,7 +94,7 @@ type Diagnostic struct {
 	Analyzer string
 	Message  string
 	// Sink, when set, names the root cause an interprocedural finding
-	// bottoms out in (time.Now, rand.NewSource, Core.Release, NearRow).
+	// bottoms out in (time.Now, rand.NewSource, NearRow).
 	// A //lint:ignore suppressing such a finding must name the sink in
 	// its reason, so annotations state what they are waiving.
 	Sink string

@@ -7,26 +7,25 @@ import (
 	"strings"
 )
 
-// Resetcomplete turns the arena-recycling contract into a compile-time
-// guarantee. The cross-cell arena leases recycled kernels, mediums and
-// radios; a recycled object must be bit-identical to a freshly
-// constructed one, which today is asserted by reset-vs-fresh equality
-// tests. This analyzer enforces the structural half of that contract:
-// for every type that has both a constructor (a package-level New*
-// function returning it) and a Reset/Reinit method, every field the
-// constructor sets must also be assigned somewhere in the reset path
-// (including methods of the same type the reset calls, and wholesale
-// *r = T{...} rewrites) — or carry an explicit annotation:
+// Resetcomplete enforces constructor/Reset parity. A type that can be
+// reset in place — today dcn.Adjustor, whose Reset re-runs the
+// Initializing Phase when a failed node rejoins — must come out of Reset
+// without state left over from before it. For every type that has both a
+// constructor (a package-level New* function returning it) and a Reset
+// method, every field the constructor sets must also be assigned
+// somewhere in the reset path (including methods of the same type the
+// reset calls, and wholesale *r = T{...} rewrites) — or carry an
+// explicit annotation:
 //
-//	streams map[string]*RNG //lint:keep <why the field survives Reset>
+//	kernel *sim.Kernel //lint:keep <why the field survives Reset>
 //
-// A kept field is deliberately retained across recycling (warm caches,
-// identity wiring); the annotation makes that decision reviewable
-// instead of implicit.
+// A kept field is deliberately retained across Reset (identity wiring,
+// configuration); the annotation makes that decision reviewable instead
+// of implicit.
 var Resetcomplete = &Analyzer{
 	Name: "resetcomplete",
-	Doc: "every field a constructor sets must be reassigned in the type's Reset/Reinit " +
-		"path or carry a //lint:keep annotation; recycled objects must equal fresh ones",
+	Doc: "every field a constructor sets must be reassigned in the type's Reset " +
+		"path or carry a //lint:keep annotation; a reset object must not keep stale state",
 	Run: runResetcomplete,
 }
 
@@ -125,7 +124,7 @@ func collectResetTypes(pass *Pass) map[string]*resetType {
 					if tn := recvTypeName(d.Recv.List[0].Type); tn != "" {
 						rt := get(tn)
 						rt.methods[d.Name.Name] = d
-						if d.Name.Name == "Reset" || d.Name.Name == "Reinit" {
+						if d.Name.Name == "Reset" {
 							rt.resets = append(rt.resets, d)
 						}
 					}

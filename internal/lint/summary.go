@@ -306,112 +306,3 @@ func (r litRanges) contains(pos token.Pos) bool {
 	}
 	return false
 }
-
-// Lease hand-off summaries for leasepair: a function that binds a Core
-// from arena.Lease/LeaseTopo (or from another hand-off helper) and
-// returns it transfers the Release obligation to its callers, so its
-// call sites are checked exactly like direct lease calls.
-func (m *Module) leaseReturners() map[string]bool {
-	if m.leaseReturn != nil {
-		return m.leaseReturn
-	}
-	m.leaseReturn = map[string]bool{}
-	var cands []*modFunc
-	for _, mf := range m.order {
-		if !mf.inTest && !isArenaPkg(mf.pkg.Path) && resultsIncludeCore(mf.fn) {
-			cands = append(cands, mf)
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, mf := range cands {
-			if !m.leaseReturn[mf.id] && m.fnReturnsLease(mf) {
-				m.leaseReturn[mf.id] = true
-				changed = true
-			}
-		}
-	}
-	return m.leaseReturn
-}
-
-// resultsIncludeCore reports whether any result is a *Core (or Core)
-// declared in an arena package.
-func resultsIncludeCore(fn *types.Func) bool {
-	sig := fn.Type().(*types.Signature)
-	for i := 0; i < sig.Results().Len(); i++ {
-		t := sig.Results().At(i).Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if n, ok := t.(*types.Named); ok && n.Obj().Name() == "Core" &&
-			n.Obj().Pkg() != nil && isArenaPkg(n.Obj().Pkg().Path()) {
-			return true
-		}
-	}
-	return false
-}
-
-// fnReturnsLease reports whether the body visibly binds a lease and
-// returns it. A getter returning a stored field does not qualify — the
-// obligation stays with whoever leased it.
-func (m *Module) fnReturnsLease(mf *modFunc) bool {
-	info := mf.pkg.Info
-	isLeaseExpr := func(e ast.Expr) bool {
-		call, ok := ast.Unparen(e).(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		if isLeaseCall(info, call) {
-			return true
-		}
-		fn, ok := calleeObj(info, call).(*types.Func)
-		return ok && m.leaseReturn[fn.FullName()]
-	}
-	leased := map[types.Object]bool{}
-	ast.Inspect(mf.decl.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, rhs := range as.Rhs {
-			id, ok := as.Lhs[i].(*ast.Ident)
-			if !ok {
-				continue
-			}
-			if isLeaseExpr(rhs) {
-				if obj := info.ObjectOf(id); obj != nil {
-					leased[obj] = true
-				}
-			}
-		}
-		return true
-	})
-	lits := funcLitRanges(mf.decl.Body)
-	found := false
-	ast.Inspect(mf.decl.Body, func(n ast.Node) bool {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok || lits.contains(ret.Pos()) {
-			return true
-		}
-		for _, res := range ret.Results {
-			if isLeaseExpr(res) {
-				found = true
-			}
-			if id, ok := ast.Unparen(res).(*ast.Ident); ok && leased[info.ObjectOf(id)] {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// isLeaseCall matches arena.Arena.Lease / LeaseTopo call expressions.
-func isLeaseCall(info *types.Info, call *ast.CallExpr) bool {
-	fn, ok := calleeObj(info, call).(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	return (fn.Name() == "Lease" || fn.Name() == "LeaseTopo") &&
-		isArenaPkg(fn.Pkg().Path())
-}

@@ -1,5 +1,5 @@
 // Package resetcpl is the resetcomplete fixture: constructor/Reset
-// parity in the shapes the arena-recycled types use.
+// parity in the shapes resettable types use.
 package resetcpl
 
 // Pool misses one field in its reset path.
@@ -45,7 +45,7 @@ func NewWholesale() *Wholesale {
 	return &Wholesale{a: 1, b: 2, c: []int{3}}
 }
 
-func (w *Wholesale) Reinit() {
+func (w *Wholesale) Reset() {
 	*w = Wholesale{a: 1}
 }
 

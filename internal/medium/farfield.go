@@ -27,13 +27,13 @@ import (
 //     snapshot's O(n·k) sparsity instead of O(n²).
 //
 // The budget is exact by default (no budget ⇒ no folding, bit-identical
-// sums), and an opt-in bound that the constructor path (Reset) enforces by
-// panicking when the worst-case fold error exceeds it.
+// sums), and an opt-in bound that New enforces by panicking when the
+// worst-case fold error exceeds it.
 
 // WithFarField enables far-field folding with the given error budget in dB:
 // the maximum amount the aggregate far-field term may lift any listener's
-// sensed noise floor. Reset panics unless a loss provider is installed
-// whose certified floor keeps the worst-case fold error —
+// sensed noise floor. New panics unless a loss provider is installed whose
+// certified floor keeps the worst-case fold error —
 // 10·log10(1 + maxFarCount·unit/noise), unit the fade-free in-channel power
 // of one maximum-power transmitter at exactly the floor loss — within the
 // budget. A zero budget (the default) disables folding entirely: sums are
@@ -65,7 +65,7 @@ func foldErrorDB(maxFarCount int, unitMW float64) float64 {
 }
 
 // resolveFarField derives the spatial-tier state from the freshly applied
-// options; reset calls it once per cell so the hot paths never re-inspect
+// options; New calls it once so the hot paths never re-inspect
 // the provider. Budget violations panic — misconfiguration is a
 // programming error.
 func (m *Medium) resolveFarField() {
@@ -92,9 +92,7 @@ func (m *Medium) resolveFarField() {
 	// this can never hear a legal-power transmitter at or beyond the loss
 	// bound, margin included.
 	m.farCullThresh = phy.MaxTxPower - phy.DBm(bound) + reachMarginDB
-	if m.spill == nil {
-		m.spill = make(map[int64]*linkSlot)
-	}
+	m.spill = make(map[int64]*linkSlot)
 }
 
 // farFoldMW returns the aggregate worst-case far-field power at a backed
@@ -221,19 +219,14 @@ func rankOf(ids []int32, id int32) int {
 }
 
 // spatialRow returns the listener's rank-indexed link row grown to its
-// near-row length, re-extending into zeroed slab capacity when possible.
+// near-row length.
 func (m *Medium) spatialRow(listenerID, k int) []linkSlot {
 	row := m.rows[listenerID]
 	if k <= len(row) {
 		return row
 	}
-	if cap(row) >= k {
-		row = row[:k]
-	} else {
-		grown := make([]linkSlot, k)
-		copy(grown, row)
-		row = grown
-	}
-	m.rows[listenerID] = row
-	return row
+	grown := make([]linkSlot, k)
+	copy(grown, row)
+	m.rows[listenerID] = grown
+	return grown
 }

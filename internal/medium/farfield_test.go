@@ -11,7 +11,7 @@ import (
 )
 
 // The far-field fold's constructor contract: exact by default, and an
-// opt-in budget that Reset enforces by panicking on any configuration that
+// opt-in budget that New enforces by panicking on any configuration that
 // cannot honour it.
 
 // farTestSnapshot builds a near-field snapshot of n single-node networks

@@ -137,7 +137,7 @@ func WithLossProvider(p LossProvider) Option {
 // Medium is the shared channel. Not safe for concurrent use: the simulation
 // is single-threaded by design.
 type Medium struct {
-	kernel       *sim.Kernel //lint:keep the medium's identity; Reset recycles state against the same (already-Reset) kernel
+	kernel       *sim.Kernel
 	pathLoss     phy.PathLossModel
 	rejection    phy.RejectionCurve
 	lossProvider LossProvider
@@ -177,8 +177,7 @@ type Medium struct {
 	// last-computed received/in-channel powers in milliwatts, keyed by
 	// transmission ID — so the ID-ordered power sums index straight into
 	// one contiguous row instead of hashing per transmission. Rows are
-	// grown lazily, zeroed (not freed) on Detach, and keep their slab
-	// capacity across Reset.
+	// grown lazily and zeroed (not freed) on Detach.
 	rows [][]linkSlot
 	// rejDB caches the rejection curve per signed frequency offset — the
 	// set of channel-pair offsets in a run is tiny and fixed.
@@ -276,15 +275,9 @@ type linkSlot struct {
 	inFreq   phy.MHz // receiver tuning inMW was computed for
 	txID     uint64  // transmission the mW caches belong to
 	known    bool    // link budget computed (shadowing drawn)
-	// lossValid marks loss as computed for the recorded geometry. It can
-	// hold without known across a ResetKeepLinks: the loss — a pure
-	// function of the geometry — carried over from the previous cell,
-	// while the shadowing draw must be redrawn so the static stream
-	// advances exactly as on a fresh medium. known implies lossValid.
-	lossValid bool
-	stale     bool // set by Moved; forces a loss recompute on next use
-	hasRx     bool
-	hasIn     bool
+	stale    bool    // set by Moved; forces a loss recompute on next use
+	hasRx    bool
+	hasIn    bool
 }
 
 // noiseFloorMW is phy.NoiseFloor converted once; the CCA hot path adds it
@@ -298,143 +291,21 @@ var noiseFloorMW = phy.NoiseFloor.Milliwatts()
 // min-tracking, as on real motes).
 func New(k *sim.Kernel, opts ...Option) *Medium {
 	m := &Medium{
-		kernel: k,
-		rejDB:  make(map[phy.MHz]float64),
+		kernel:      k,
+		pathLoss:    phy.DefaultPathLoss(),
+		rejection:   phy.NewCC2420Rejection(),
+		fadingSigma: 2,
+		staticSigma: 3,
+		fadingRNG:   k.Stream("medium.fading"),
+		staticRNG:   k.Stream("medium.static"),
+		rejDB:       make(map[phy.MHz]float64),
+		indexMin:    indexMinListeners,
 	}
-	m.Reset(opts...)
-	return m
-}
-
-// Reset returns the medium to the state New(kernel, opts...) would produce
-// while retaining every allocation worth keeping warm: the transmission
-// free-list (with its per-listener cache slabs), the delivery-set
-// free-list, and the scratch slices. The cross-cell arena calls this when
-// a cell leases a recycled medium; the kernel must have been Reset first
-// so the shared fading/shadowing streams are already rewound. Reset is
-// bit-identical to building a fresh medium: recycled transmissions are
-// zeroed on reuse and every cache is keyed or cleared, so a reused medium
-// produces the same draws and sums as a new one.
-func (m *Medium) Reset(opts ...Option) { m.reset(false, opts...) }
-
-// ResetKeepLinks is Reset for a cell whose topology is unchanged from the
-// previous cell on this medium: in addition to the warm slabs, every link
-// slot keeps its recorded geometry and path loss, so the next cell's
-// first power sum skips the loss lookups entirely. The shadowing draws do
-// NOT carry over — they are redrawn from the rewound static stream at the
-// same first-use points, keeping a recycled medium bit-identical to a
-// fresh one. The caller asserts that the new cell's loss configuration
-// (placements, path-loss model, provider matrix) yields bit-identical
-// losses for matching geometry; a changed position is still detected and
-// recomputed per slot, but a changed model under identical positions is
-// not, so callers must key retention on a topology-snapshot identity (see
-// arena.LeaseTopo).
-func (m *Medium) ResetKeepLinks(opts ...Option) { m.reset(true, opts...) }
-
-func (m *Medium) reset(keepLinks bool, opts ...Option) {
-	// Park any still-in-flight transmissions: their scheduled finish died
-	// with the kernel reset, so they go straight back to the free-list.
-	for i, tx := range m.active {
-		tx.activeIdx = -1
-		m.txPool = append(m.txPool, tx)
-		m.active[i] = nil
-	}
-	m.active = m.active[:0]
-	for i := range m.scratch {
-		m.scratch[i] = nil
-	}
-	m.scratch = m.scratch[:0]
-	m.scratchEpoch, m.scratchValid = 0, false
-	m.listeners = m.listeners[:0]
-	m.sums = m.sums[:0]
-	m.interests = m.interests[:0]
-	m.allIDs = m.allIDs[:0]
-	for f := range m.bands {
-		delete(m.bands, f)
-	}
-	// Spatial-tier state: drop transmission references so parked objects
-	// can recycle, keep the slabs warm.
-	wasSpatial := m.spatial
-	m.farBacked = m.farBacked[:0]
-	m.unbackedIDs = m.unbackedIDs[:0]
-	for i := range m.bySrc {
-		for j := range m.bySrc[i] {
-			m.bySrc[i][j] = nil
-		}
-		m.bySrc[i] = m.bySrc[i][:0]
-	}
-	for i := range m.unbounded {
-		m.unbounded[i] = nil
-	}
-	m.unbounded = m.unbounded[:0]
-	for i := range m.nearScratch {
-		m.nearScratch[i] = nil
-	}
-	m.nearScratch = m.nearScratch[:0]
-	for f := range m.bandsTough {
-		delete(m.bandsTough, f)
-	}
-	for k := range m.spill {
-		delete(m.spill, k)
-	}
-	// Zero the link rows across their full capacity but keep the slabs:
-	// the next cell re-fills the same memory. Slots beyond a row's length
-	// were zeroed when last parked, so re-extension never exposes stale
-	// link budgets. Under keepLinks the loss half (geometry + path loss)
-	// survives instead, marked lossValid for link() to reuse; draws and
-	// power memos are cleared unconditionally.
-	for i := range m.rows {
-		row := m.rows[i][:cap(m.rows[i])]
-		for j := range row {
-			if s := &row[j]; keepLinks && s.lossValid {
-				*s = linkSlot{from: s.from, to: s.to, loss: s.loss, lossValid: true}
-			} else {
-				*s = linkSlot{}
-			}
-		}
-		m.rows[i] = row[:0]
-	}
-	m.rows = m.rows[:0]
-	// The rejection curve may change with the new options; drop its memo
-	// rather than reason about curve identity. Repopulating costs a
-	// handful of lookups per cell.
-	for f := range m.rejDB {
-		delete(m.rejDB, f)
-	}
-	m.epoch = 0
-	m.nextTxID = 0
-	m.dstats = DisseminationStats{}
-	// Re-derive the option-dependent configuration exactly as New does.
-	m.pathLoss = phy.DefaultPathLoss()
-	m.rejection = phy.NewCC2420Rejection()
-	m.fadingSigma = 2
-	m.staticSigma = 3
-	m.lossProvider = nil
-	m.indexMin = indexMinListeners
-	m.indexLive = false
-	m.farBudgetDB = 0
-	m.spatial = false
-	m.farUnitMW = 0
-	m.farMaxCount = 0
-	m.farN = 0
-	m.farCullThresh = 0
-	m.fadingRNG = m.kernel.Stream("medium.fading")
-	m.staticRNG = m.kernel.Stream("medium.static")
 	for _, o := range opts {
 		o(m)
 	}
 	m.resolveFarField()
-	if keepLinks && m.spatial != wasSpatial {
-		// Rank-indexed and source-indexed rows are not interchangeable:
-		// a mode flip invalidates every retained loss. Callers key
-		// retention on (snapshot, budget) so this is purely defensive.
-		for i := 0; i < cap(m.rows); i++ {
-			row := m.rows[:cap(m.rows)][i]
-			row = row[:cap(row)]
-			for j := range row {
-				row[j] = linkSlot{}
-			}
-		}
-	}
+	return m
 }
 
 // Rejection exposes the curve so radios share the exact same filter model.
@@ -447,13 +318,7 @@ func (m *Medium) Rejection() phy.RejectionCurve { return m.rejection }
 func (m *Medium) Attach(l Listener) int {
 	m.listeners = append(m.listeners, l)
 	m.sums = append(m.sums, listenerSums{})
-	// Re-extend into a parked (zeroed) row slab when one exists from a
-	// previous cell on this medium; append a fresh row otherwise.
-	if n := len(m.listeners); cap(m.rows) >= n {
-		m.rows = m.rows[:n]
-	} else {
-		m.rows = append(m.rows, nil)
-	}
+	m.rows = append(m.rows, nil)
 	id := len(m.listeners) - 1
 	if m.spatial {
 		backed := m.lossProvider.Backed(id, l.Position())
@@ -708,15 +573,10 @@ func (m *Medium) linkRow(listenerID, src int) []linkSlot {
 	if src >= n {
 		n = src + 1
 	}
-	if cap(row) >= n {
-		row = row[:n]
-	} else {
-		grown := make([]linkSlot, n)
-		copy(grown, row)
-		row = grown
-	}
-	m.rows[listenerID] = row
-	return row
+	grown := make([]linkSlot, n)
+	copy(grown, row)
+	m.rows[listenerID] = grown
+	return grown
 }
 
 // link returns the cached slot of the (src, listener) pair, filling its
@@ -733,15 +593,8 @@ func (m *Medium) link(src, listenerID int, from, to phy.Position) *linkSlot {
 		s = &m.linkRow(listenerID, src)[src]
 	}
 	if !s.known {
-		// A lossValid slot carried its loss across ResetKeepLinks; reuse
-		// it when the geometry still matches, else fall through to a
-		// fresh lookup. The shadowing draw happens either way — first use
-		// advances the static stream exactly like a fresh medium.
-		if !s.lossValid || s.from != from || s.to != to {
-			s.from, s.to = from, to
-			s.loss = m.lookupLoss(src, listenerID, from, to)
-			s.lossValid = true
-		}
+		s.from, s.to = from, to
+		s.loss = m.lookupLoss(src, listenerID, from, to)
 		if m.staticSigma != 0 {
 			s.static = m.staticRNG.Gaussian(0, m.staticSigma)
 		}

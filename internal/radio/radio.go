@@ -118,11 +118,6 @@ type Radio struct {
 	cfg    Config
 	state  State
 	rng    *sim.RNG
-	// streamName caches the formatted bit-stream name ("radio.N.bits").
-	// An arena sweep Reinits each radio once per cell, almost always at
-	// the same address; reusing the string skips a fmt round-trip and its
-	// allocation on the cell-setup path.
-	streamName string
 
 	// rssiOffset is a calibration error added to every measured power
 	// (sensed energy and reported packet RSSI). It shifts what the radio
@@ -161,35 +156,19 @@ type receptionState struct {
 
 // New attaches a radio to the medium in the idle state.
 func New(k *sim.Kernel, m *medium.Medium, cfg Config) *Radio {
-	r := &Radio{}
-	r.Reinit(k, m, cfg)
-	return r
-}
-
-// Reinit rebuilds the radio in place against a (possibly different) kernel
-// and medium, exactly as New constructs a fresh one — every field,
-// including the energy meter and fault state, starts over. The cross-cell
-// arena uses it to recycle radio structs between simulation cells; the
-// bit-stream RNG is the kernel's stream for the new address, so a reused
-// radio draws the same sequence a fresh one would.
-func (r *Radio) Reinit(k *sim.Kernel, m *medium.Medium, cfg Config) {
-	name := r.streamName
-	if name == "" || cfg.Address != r.cfg.Address {
-		name = fmt.Sprintf("radio.%d.bits", cfg.Address)
-	}
-	*r = Radio{
-		kernel:     k,
-		medium:     m,
-		cfg:        cfg,
-		state:      StateIdle,
-		streamName: name,
-		rng:        k.Stream(name),
+	r := &Radio{
+		kernel: k,
+		medium: m,
+		cfg:    cfg,
+		state:  StateIdle,
+		rng:    k.Stream(fmt.Sprintf("radio.%d.bits", cfg.Address)),
 	}
 	// The hardware register cannot hold an out-of-range threshold, however
 	// the radio was configured.
 	r.cfg.CCAThreshold, _ = phy.ClampCCAThreshold(cfg.CCAThreshold)
 	r.energy.account(r.state, cfg.TxPower, k.Now()) // start the meter
 	r.id = m.Attach(r)
+	return r
 }
 
 // Interest implements medium.InterestedListener: the events a radio's

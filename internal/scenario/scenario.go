@@ -111,6 +111,12 @@ func (s *Scenario) Validate() error {
 	if len(s.Networks) == 0 {
 		return fmt.Errorf("scenario %q: no networks", s.Name)
 	}
+	if s.WarmupMillis < 0 || s.MeasureMillis < 0 {
+		return fmt.Errorf("scenario %q: negative warmup or measure duration", s.Name)
+	}
+	if s.PayloadBytes < 0 || s.PayloadBytes > 116 {
+		return fmt.Errorf("scenario %q: payload %d outside 0..116", s.Name, s.PayloadBytes)
+	}
 	for i, w := range s.WiFi {
 		if w.Channel < 1 || w.Channel > 11 {
 			return fmt.Errorf("scenario %q: wifi %d: channel %d outside 1..11",

@@ -28,6 +28,15 @@ const validDoc = `{
   ]
 }`
 
+// Top-level fields that Validate once let through: a negative default
+// payload panicked in Run, the others ran with nonsense settings.
+const (
+	negativePayloadDoc  = `{"name":"x","payloadBytes":-3,"networks":[{"freqMHz":2460,"sink":{},"senders":[{}]}]}`
+	oversizedPayloadDoc = `{"name":"x","payloadBytes":200,"networks":[{"freqMHz":2460,"sink":{},"senders":[{}]}]}`
+	negativeMeasureDoc  = `{"name":"x","measureMillis":-500,"networks":[{"freqMHz":2460,"sink":{},"senders":[{}]}]}`
+	negativeWarmupDoc   = `{"name":"x","warmupMillis":-100,"networks":[{"freqMHz":2460,"sink":{},"senders":[{}]}]}`
+)
+
 func TestLoadValid(t *testing.T) {
 	s, err := Load(strings.NewReader(validDoc))
 	if err != nil {
@@ -59,6 +68,10 @@ func TestValidateErrors(t *testing.T) {
 		{"bad scheme", `{"name":"x","networks":[{"freqMHz":2460,"scheme":"tdma","sink":{},"senders":[{}]}]}`},
 		{"negative period", `{"name":"x","networks":[{"freqMHz":2460,"periodMillis":-1,"sink":{},"senders":[{}]}]}`},
 		{"huge payload", `{"name":"x","networks":[{"freqMHz":2460,"payloadBytes":500,"sink":{},"senders":[{}]}]}`},
+		{"negative default payload", negativePayloadDoc},
+		{"oversized default payload", oversizedPayloadDoc},
+		{"negative measure", negativeMeasureDoc},
+		{"negative warmup", negativeWarmupDoc},
 		{"not json", `{`},
 	}
 	for _, tt := range tests {
@@ -198,4 +211,40 @@ func TestScenarioOracleScheme(t *testing.T) {
 	if results[0].Received == 0 {
 		t.Error("oracle scheme carried no traffic")
 	}
+}
+
+// FuzzLoad feeds arbitrary documents to Load (never Run): decoding and
+// validation must not panic, and every accepted document must carry
+// non-negative durations and payloads the frame codec can carry.
+func FuzzLoad(f *testing.F) {
+	for _, doc := range []string{
+		validDoc, negativePayloadDoc, oversizedPayloadDoc,
+		negativeMeasureDoc, negativeWarmupDoc,
+		`{"name":"x","wifi":[{"channel":6,"busyMillis":-1}],"networks":[{"freqMHz":2460,"sink":{},"senders":[{}]}]}`,
+		`{`,
+	} {
+		f.Add(doc)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		s, err := Load(strings.NewReader(doc))
+		if err != nil {
+			return
+		}
+		if s.WarmupMillis < 0 || s.MeasureMillis < 0 {
+			t.Fatalf("accepted negative duration: warmup %d, measure %d", s.WarmupMillis, s.MeasureMillis)
+		}
+		if s.PayloadBytes < 0 || s.PayloadBytes > 116 {
+			t.Fatalf("accepted default payload %d", s.PayloadBytes)
+		}
+		for i, n := range s.Networks {
+			if n.PeriodMillis < 0 || n.PayloadBytes < 0 || n.PayloadBytes > 116 {
+				t.Fatalf("network %d accepted with period %d, payload %d", i, n.PeriodMillis, n.PayloadBytes)
+			}
+		}
+		for i, w := range s.WiFi {
+			if w.BusyMillis < 0 || w.IdleMillis < 0 {
+				t.Fatalf("wifi %d accepted with busy %d, idle %d", i, w.BusyMillis, w.IdleMillis)
+			}
+		}
+	})
 }

@@ -172,52 +172,3 @@ func TestCalendarOverflowMigration(t *testing.T) {
 		t.Fatalf("fire order %v, want [1 2 3]", got)
 	}
 }
-
-// TestCalendarReplayAcrossReset is the queue-focused replay port of the
-// kernel Reset tests: a schedule spanning bucket ties, cursor jumps and
-// the overflow rung must replay bit-identically on a recycled kernel —
-// and the bucket slabs must survive the Reset instead of reallocating.
-func TestCalendarReplayAcrossReset(t *testing.T) {
-	type firing struct {
-		at  Time
-		id  int
-		rnd float64
-	}
-	run := func(k *Kernel) []firing {
-		var log []firing
-		rng := k.Stream("replay")
-		record := func(id int) func() {
-			return func() { log = append(log, firing{k.Now(), id, rng.Float64()}) }
-		}
-		k.At(100, record(0))
-		k.At(100, record(1))                // same-instant tie
-		k.At(90*Millisecond, record(2))     // overflow at push time
-		k.At(3*Millisecond+57, record(3))   // same bucket ring index family
-		e := k.At(5*Millisecond, record(4)) // cancelled: must not fire either run
-		k.Cancel(e)
-		k.At(200*Millisecond, record(5)) // deep overflow
-		k.RunUntil(Second)
-		return log
-	}
-	k := NewKernel(9)
-	first := run(k)
-	k.Reset(9)
-	if k.queue.buckets == nil {
-		t.Fatal("Reset dropped the calendar bucket slab")
-	}
-	second := run(k)
-	if len(first) != len(second) {
-		t.Fatalf("replay fired %d events, first run fired %d", len(second), len(first))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("replay diverges at firing %d: first %+v, second %+v", i, first[i], second[i])
-		}
-	}
-	want := []int{0, 1, 3, 2, 5}
-	for i, f := range first {
-		if f.id != want[i] {
-			t.Fatalf("fire order id %d at position %d, want %d", f.id, i, want[i])
-		}
-	}
-}

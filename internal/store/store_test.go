@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math"
 	"os"
 	"path/filepath"
@@ -283,4 +284,50 @@ func TestDefaultVersionNonEmpty(t *testing.T) {
 	if DefaultVersion() == "" {
 		t.Fatal("DefaultVersion() empty")
 	}
+}
+
+// FuzzDecodeEntry feeds arbitrary entry bytes and expected keys to
+// decodeEntry: it must never panic, must report a defect whenever it
+// withholds a payload, and may return a payload only when the trailing
+// SHA-256 matches everything before it.
+func FuzzDecodeEntry(f *testing.F) {
+	s, err := Open(f.TempDir(), WithVersion("fuzz-v1"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := s.PutBytes(key(1), []byte("cell payload")); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(s.path(key(1)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	wantKey := key(1).canonical(s.version)
+	flipped := bytes.Clone(valid)
+	flipped[len(magic)+3] ^= 0x10
+	f.Add(valid, wantKey)
+	f.Add(valid, key(2).canonical(s.version))
+	f.Add(valid[:len(valid)-1], wantKey)
+	f.Add(flipped, wantKey)
+	f.Add([]byte(magic), wantKey)
+	f.Add([]byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, data, wantKey []byte) {
+		payload, defect := decodeEntry(data, wantKey)
+		if defect != "" {
+			if payload != nil {
+				t.Fatalf("payload %q returned with defect %q", payload, defect)
+			}
+			return
+		}
+		if payload == nil {
+			t.Fatal("no payload and no defect")
+		}
+		if len(data) < sha256.Size {
+			t.Fatalf("accepted a %d-byte entry, shorter than its checksum", len(data))
+		}
+		body, sum := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
+		if got := sha256.Sum256(body); !bytes.Equal(got[:], sum) {
+			t.Fatal("accepted an entry whose trailing sha256 does not match")
+		}
+	})
 }

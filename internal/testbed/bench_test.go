@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"nonortho/internal/arena"
 	"nonortho/internal/phy"
 	"nonortho/internal/sim"
 	"nonortho/internal/topology"
@@ -86,37 +85,6 @@ func BenchmarkCellSetup(b *testing.B) {
 			tb.Run(warm, 0)
 		}
 	})
-}
-
-// BenchmarkCellSetupArena measures the same cell stand-up as
-// BenchmarkCellSetup's shared-snapshot case, but leasing the kernel,
-// medium and radios from a cross-cell arena: after the first iteration
-// warms the pool, every cell reuses the previous cell's objects via
-// in-place reset instead of reallocating them.
-func BenchmarkCellSetupArena(b *testing.B) {
-	cfg := topology.Config{
-		Plan: phy.ChannelPlan{
-			Start: 2458, Bandwidth: 15, CFD: 3,
-			Centers: []phy.MHz{2458, 2461, 2464, 2467, 2470, 2473},
-		},
-		Layout: topology.LayoutColocated,
-	}
-	snap, err := topology.NewSnapshotNear(cfg, sim.NewRNG(1), nil, 150) // every colocated pair is stored
-	if err != nil {
-		b.Fatal(err)
-	}
-	ar := arena.New()
-	const warm = 100 * time.Millisecond
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tb := New(Options{Seed: 1, Topology: snap, Arena: ar})
-		for _, spec := range snap.Networks() {
-			tb.AddNetwork(spec, NetworkConfig{})
-		}
-		tb.Run(warm, 0)
-		tb.Close()
-	}
 }
 
 // BenchmarkSimulatedSecondDCN is the same with every network running the
