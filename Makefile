@@ -9,23 +9,22 @@ BENCH_BASE ?= BENCH_PR7.json
 STATICCHECK_VERSION ?= v0.4.7
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: check vet lint lint-full build test race fuzz bench benchsmoke bench-compare
+.PHONY: check vet lint lint-full build test race fuzz bench bench-compare
 
-## check: the full local gate — vet, the dcnlint determinism/unit-safety
-## analyzers, build, tests under the race detector, and a one-iteration
-## smoke run of the fast benchmarks. Set LINT_FULL=1 to also run the
-## pinned staticcheck + govulncheck pass (needs network).
-check: vet lint build race benchsmoke
-ifeq ($(LINT_FULL),1)
-check: lint-full
-endif
+## check: the full local gate, ./check.sh — gofmt, vet, the perfbench
+## module, the dcnlint analyzers, build, the named -race subsets and the
+## full suite under the race detector, the benchmark smoke runs and the
+## bench compare. Set LINT_FULL=1 to also run the pinned staticcheck +
+## govulncheck pass (needs network).
+check:
+	./check.sh
 
 vet:
 	$(GO) vet ./...
 
 ## lint: the project-specific go/analysis suite (detsource, maporder,
-## dbmunits, confinedgo, resetcomplete, seedtaint, deliveryfreeze,
-## snapfreeze) with the interprocedural call-graph engine.
+## dbmunits, confinedgo, resetcomplete, seedtaint, snapfreeze) with the
+## interprocedural call-graph engine.
 ## Offline: stdlib-only driver.
 lint:
 	$(GO) run ./cmd/dcnlint ./...
@@ -45,26 +44,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-## fuzz: a short fuzzing pass over the frame codec invariants.
+## fuzz: a short fuzzing pass over every external-input decoder: the
+## frame codec, scenario JSON and store cells.
 fuzz:
-	$(GO) test ./internal/frame -run FuzzFCS -fuzz FuzzFCS -fuzztime 30s
+	$(GO) test ./internal/frame -run '^$$' -fuzz '^FuzzFCS$$' -fuzztime 30s
+	$(GO) test ./internal/frame -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s
+	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 30s
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 30s
 
 ## bench: run the microbenchmarks and write parsed JSON to $(BENCH_OUT).
 bench:
 	$(GO) run ./cmd/dcnbench -bench '$(BENCH)' -out $(BENCH_OUT)
-
-## benchsmoke: one iteration of the fast kernel/medium/testbed
-## benchmarks, to catch benchmark-code rot without paying full
-## measurement time.
-benchsmoke:
-	$(GO) run ./cmd/dcnbench -bench 'KernelScheduleCancel|SensedPowerDense|OnAirFanout$$' \
-		-benchtime 1x -pkgs ./internal/sim,./internal/medium -out /dev/null
-	$(GO) run ./cmd/dcnbench -bench 'CellSetup' \
-		-benchtime 1x -pkgs ./internal/testbed -out /dev/null
-	$(GO) run ./cmd/dcnbench -bench 'SensedPower5kNodes|OnAirFanout5kNodes' \
-		-benchtime 1x -pkgs ./internal/medium -out /dev/null
-	$(GO) run ./cmd/dcnbench -bench 'LintModule' \
-		-benchtime 1x -pkgs ./internal/lint -out /dev/null
 
 ## bench-compare: run the benchmarks into $(BENCH_OUT), then fail if any
 ## shared benchmark's ns/op regressed >20% against $(BENCH_BASE).

@@ -1,6 +1,8 @@
 #!/bin/sh
-# check.sh — the same gate as `make check`, for environments without make:
-# vet, build, and the full test suite under the race detector.
+# check.sh — the full local gate (`make check` runs it): gofmt, vet, the
+# perfbench module, dcnlint, build, the named -race subsets, the full test
+# suite under the race detector, the benchmark smoke runs and the bench
+# compare.
 set -eu
 cd "$(dirname "$0")"
 
@@ -44,14 +46,13 @@ require_tests() {
 	done
 }
 
-echo "== dissemination oracle + filter tests under -race"
-# The interest-filter correctness surface, run first and by name: the
-# brute-force sensing oracle (filter on and off), the filter-on/off and
-# spatial-exact bit-identity replays, the folded-mode bounded-error
-# oracle and the frozen-delivery-set edge cases, then the kernel's own
-# tests. A filtering, spatial-tier or scheduler bug fails here in seconds
-# instead of somewhere inside the full suite below.
-medium_race='TestCachedSumsMatchBruteForce|TestFilteredChurnBitIdentical|TestSpatialExactChurnBitIdentical|TestFoldedChurnBoundedError|TestRetuneWhileOnAir|TestDetachWithPendingInterest|TestWidebandDeliverySpansBands'
+echo "== medium sensing oracle tests under -race"
+# The medium's correctness surface, run first and by name: the
+# brute-force sensing oracle, the spatial-exact bit-identity replay and
+# the folded-mode bounded-error oracle, then the kernel's own tests. A
+# sensing, spatial-tier or scheduler bug fails here in seconds instead of
+# somewhere inside the full suite below.
+medium_race='TestCachedSumsMatchBruteForce|TestSpatialExactChurnBitIdentical|TestFoldedChurnBoundedError'
 require_tests ./internal/medium "$medium_race"
 go test -race -count=1 -run "$medium_race" ./internal/medium
 go test -race -count=1 ./internal/sim
@@ -78,8 +79,8 @@ go run ./cmd/dcnbench -bench 'KernelScheduleCancel|SensedPowerDense|OnAirFanout$
 go run ./cmd/dcnbench -bench 'CellSetup' \
 	-benchtime 1x -pkgs ./internal/testbed -out /dev/null
 # City-scale smoke: one iteration proves the 5,000-node spatial-tier
-# benchmarks still set up (near snapshot build, far-field fold, grid
-# culled fan-out) without paying measurement time.
+# benchmarks still set up (near snapshot build, far-field fold, the
+# 5,000-listener fan-out) without paying measurement time.
 go run ./cmd/dcnbench -bench 'SensedPower5kNodes|OnAirFanout5kNodes' \
 	-benchtime 1x -pkgs ./internal/medium -out /dev/null
 # Lint-gate smoke: one iteration of the whole-module analyzer run keeps

@@ -5,7 +5,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Confinedgo,
 		Dbmunits,
-		Deliveryfreeze,
 		Detsource,
 		Maporder,
 		Resetcomplete,

@@ -21,10 +21,6 @@ func TestMaporder(t *testing.T) {
 	linttest.Run(t, lint.Maporder, "mapord")
 }
 
-func TestDeliveryfreeze(t *testing.T) {
-	linttest.Run(t, lint.Deliveryfreeze, "delivfreeze")
-}
-
 func TestDbmunits(t *testing.T) {
 	linttest.Run(t, lint.Dbmunits, "dbmunits")
 }
@@ -62,8 +58,8 @@ func TestSnapfreeze(t *testing.T) {
 // analyzer must update this list (and the README table it mirrors).
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
-		"confinedgo", "dbmunits", "deliveryfreeze", "detsource",
-		"maporder", "resetcomplete", "seedtaint", "snapfreeze",
+		"confinedgo", "dbmunits", "detsource", "maporder",
+		"resetcomplete", "seedtaint", "snapfreeze",
 	}
 	all := lint.All()
 	if len(all) != len(want) {

@@ -88,8 +88,8 @@ func BenchmarkSensedPowerChurn(b *testing.B) {
 	}
 }
 
-// bandedProbe is a minimal interested listener: idle on one band, like a
-// radio waiting for a preamble.
+// bandedProbe is a minimal listener idle on one band, like a radio
+// waiting for a preamble.
 type bandedProbe struct {
 	pos  phy.Position
 	band phy.MHz
@@ -98,21 +98,16 @@ type bandedProbe struct {
 func (p *bandedProbe) Position() phy.Position  { return p.pos }
 func (p *bandedProbe) OnAir(tx *Transmission)  {}
 func (p *bandedProbe) OffAir(tx *Transmission) {}
-func (p *bandedProbe) Interest() Interest {
-	return Interest{Scope: ScopeBand, Band: p.band, Floor: phy.Sensitivity}
-}
 
 // BenchmarkOnAirFanout measures event dissemination on a wide-band
 // deployment: 16 channels across 2405-2480 MHz with six idle listeners
-// each, transmissions hopping over all of them. Under the unfiltered
-// fan-out every OnAir/OffAir notifies all 96 listeners; the interest
-// index delivers each event only to the transmission's own band (six
-// listeners plus the source). The callbacks/event metric makes the
-// ≥ 3× reduction directly visible.
+// each, transmissions hopping over all of them. Every OnAir/OffAir
+// notifies all 96 listeners (callbacks/event = 96). The sub-benchmark
+// keeps its historical name so recorded baselines still compare.
 func BenchmarkOnAirFanout(b *testing.B) {
-	run := func(b *testing.B, filterOn bool) {
+	b.Run("unfiltered", func(b *testing.B) {
 		k := sim.NewKernel(1)
-		m := New(k, withFilter(filterOn))
+		m := New(k)
 		const bandCount, perBand = 16, 6
 		ids := make([]int, 0, bandCount*perBand)
 		probes := make([]*bandedProbe, 0, bandCount*perBand)
@@ -144,9 +139,7 @@ func BenchmarkOnAirFanout(b *testing.B) {
 		if st.Events > 0 {
 			b.ReportMetric(float64(st.Callbacks)/float64(st.Events), "callbacks/event")
 		}
-	}
-	b.Run("filtered", func(b *testing.B) { run(b, true) })
-	b.Run("unfiltered", func(b *testing.B) { run(b, false) })
+	})
 }
 
 // cityBenchSetup builds a 5,000-node city cell (1,000 four-sender networks
@@ -226,9 +219,9 @@ func BenchmarkSensedPower5kNodes(b *testing.B) {
 }
 
 // BenchmarkOnAirFanout5kNodes measures event dissemination at city scale:
-// each transmission's delivery set is its source's band-matched near-field
-// neighbourhood, not the 5,000-listener population. The callbacks/event
-// metric reports the realised neighbourhood fan-out.
+// every transmission notifies all 5,000 listeners, whose handlers are
+// no-ops as an idle radio's are for an off-band event. The callbacks/event
+// metric reports the population walked.
 func BenchmarkOnAirFanout5kNodes(b *testing.B) {
 	k, m, ids, probes := cityBenchSetup(b)
 	f := &frame.Frame{Type: frame.TypeData, Payload: make([]byte, 16)}

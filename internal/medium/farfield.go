@@ -16,7 +16,7 @@ import (
 //   - Culling (always on when a provider is installed, exact): the
 //     reachable-power predicate can rule a far pair out from the floor
 //     alone, and falls back to computing the exact model loss when the
-//     floor is inconclusive — so delivery decisions are bit-identical to
+//     floor is inconclusive — so lock-on decisions are bit-identical to
 //     storing every pair.
 //
 //   - Folding (opt-in via WithFarField, approximate with an enforced error
@@ -88,10 +88,6 @@ func (m *Medium) resolveFarField() {
 	m.farUnitMW = unitMW
 	m.farMaxCount = maxFar
 	m.farN = m.lossProvider.NumNodes()
-	// Far-cull threshold for the spatial fan-out: a listener floor above
-	// this can never hear a legal-power transmitter at or beyond the loss
-	// bound, margin included.
-	m.farCullThresh = phy.MaxTxPower - phy.DBm(bound) + reachMarginDB
 	m.spill = make(map[int64]*linkSlot)
 }
 
@@ -183,7 +179,7 @@ func containsID(ids []int32, id int32) bool {
 // folded reports whether the listener's power sums run on the folded path:
 // the spatial tier is active and the listener's position is backed by the
 // snapshot, so its far field is certified. Unbacked listeners (late
-// attachers, movers) keep the exact full loop.
+// attachers) keep the exact full loop.
 func (m *Medium) folded(listenerID int) bool {
 	return m.spatial && listenerID < len(m.farBacked) && m.farBacked[listenerID]
 }

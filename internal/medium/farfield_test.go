@@ -96,9 +96,9 @@ func TestFarFieldBudgetContract(t *testing.T) {
 	})
 }
 
-// TestFoldedUnbackedFallbacks pins the demotion paths: a moved listener, a
-// detached one, and a late attacher all leave the folded fast path and get
-// exact sums, while untouched listeners stay folded.
+// TestFoldedUnbackedFallbacks pins the demotion paths: a detached listener
+// and a late attacher leave the folded fast path, the late attacher gets
+// exact sums, and untouched listeners stay folded.
 func TestFoldedUnbackedFallbacks(t *testing.T) {
 	snap := farTestSnapshot(t, 10, 40, 95)
 	k := sim.NewKernel(1)
@@ -117,25 +117,9 @@ func TestFoldedUnbackedFallbacks(t *testing.T) {
 		}
 	}
 
-	// A mover is demoted and sensed exactly from then on.
-	probes[3].pos = phy.Position{X: 3*40 + 1}
-	m.Moved(ids[3])
-	if m.folded(ids[3]) {
-		t.Fatal("moved listener still folded: its near row no longer matches its geometry")
-	}
-	if m.folded(ids[2]) != true {
-		t.Fatal("neighbour of the mover lost its fold; Moved must demote only the mover")
-	}
-
-	// Its sums are exact: compare against a brute-force walk while a far
-	// node transmits.
+	// While a far node transmits, a folded listener's reading sits above
+	// the exact truth by at most the declared error.
 	tx := m.Transmit(ids[9], probes[9].pos, 0, 2458, testFrame(16))
-	want := phy.FromMilliwatts(noiseFloorMW + m.InChannelPower(tx, ids[3], 2458).Milliwatts())
-	if got := m.SensedPower(ids[3], 2458, nil); got != want {
-		t.Fatalf("unbacked SensedPower = %v, want exact %v", got, want)
-	}
-	// A folded listener's reading sits above the exact truth by at most
-	// the declared error.
 	exact := phy.FromMilliwatts(noiseFloorMW + m.InChannelPower(tx, ids[5], 2458).Milliwatts())
 	folded := m.SensedPower(ids[5], 2458, nil)
 	if float64(folded) < float64(exact) || float64(folded) > float64(exact)+m.FarFieldErrorDB()+1e-9 {
@@ -147,11 +131,16 @@ func TestFoldedUnbackedFallbacks(t *testing.T) {
 	if m.folded(ids[7]) {
 		t.Fatal("detached listener still folded")
 	}
+	if !m.folded(ids[6]) {
+		t.Fatal("neighbour of the detached listener lost its fold")
+	}
 	late := m.Attach(&probe{pos: phy.Position{X: -500}})
 	if m.folded(late) {
 		t.Fatal("late attacher folded despite being outside the snapshot")
 	}
-	if got := m.SensedPower(late, 2458, nil); got == phy.Silent {
-		t.Fatal("late attacher cannot sense")
+	// Its sums are exact: compare against a brute-force walk.
+	want := phy.FromMilliwatts(noiseFloorMW + m.InChannelPower(tx, late, 2458).Milliwatts())
+	if got := m.SensedPower(late, 2458, nil); got != want {
+		t.Fatalf("unbacked SensedPower = %v, want exact %v", got, want)
 	}
 }

@@ -15,7 +15,9 @@ import (
 // medium calls OnAir/OffAir for every transmission in the world, including
 // the listener's own (compare Transmission.Src with the listener's ID).
 type Listener interface {
-	// Position locates the listener's antenna.
+	// Position locates the listener's antenna. The value must not change
+	// while the listener is attached: link budgets are computed once per
+	// pair, on first use.
 	Position() phy.Position
 	// OnAir is invoked when a transmission begins anywhere on the medium.
 	OnAir(tx *Transmission)
@@ -109,8 +111,8 @@ type LossProvider interface {
 	// PairLoss returns the bit-identical value the medium's own path-loss
 	// model would compute for the given positions, or ok=false when the
 	// pair is far or the positions no longer match the geometry the
-	// provider was built from (late-attached or moved nodes); the medium
-	// then falls back to computing the loss itself.
+	// provider was built from (late-attached nodes); the medium then
+	// falls back to computing the loss itself.
 	PairLoss(src, listener int, from, to phy.Position) (loss float64, ok bool)
 	// PairLossFloor returns a floor every certified-far pair's true loss
 	// provably reaches, with ok=false for near pairs or unmatched geometry.
@@ -163,9 +165,9 @@ type Medium struct {
 	// finished transmission (and its perL slice) parks here and is reset
 	// on reuse, so steady-state churn allocates nothing.
 	txPool []*Transmission
-	// epoch counts on-air landscape changes (Transmit/finish/Detach/
-	// Moved). Cached per-listener power sums are valid only within the
-	// epoch they were computed in.
+	// epoch counts on-air landscape changes (Transmit/finish/Detach).
+	// Cached per-listener power sums are valid only within the epoch they
+	// were computed in.
 	epoch uint64
 	// sums holds each listener's cached sensing sums, indexed by attach
 	// ID in lockstep with listeners.
@@ -173,7 +175,7 @@ type Medium struct {
 	// rows holds each listener's dense link cache: rows[listener][src] is
 	// the structure-of-arrays replacement for the old map[linkKey]
 	// lookup. A slot carries the pair's link budget (path loss for the
-	// recorded geometry plus the persistent shadowing draw) and the
+	// pair's geometry plus the persistent shadowing draw) and the
 	// last-computed received/in-channel powers in milliwatts, keyed by
 	// transmission ID — so the ID-ordered power sums index straight into
 	// one contiguous row instead of hashing per transmission. Rows are
@@ -183,48 +185,25 @@ type Medium struct {
 	// set of channel-pair offsets in a run is tiny and fixed.
 	rejDB    map[phy.MHz]float64
 	nextTxID uint64
-
-	// Interest-filtered dissemination (interest.go): each listener's
-	// declared interest, indexed by attach ID in lockstep with listeners,
-	// plus the event-delivery buckets it is filed under — allIDs for
-	// ScopeAll, bands[f] for ScopeBand — always kept in ascending ID
-	// order so merged delivery matches the unfiltered fan-out order.
-	interests []Interest
-	allIDs    []int
-	bands     map[phy.MHz][]int
-	// idFree recycles delivery-set slices across fan-outs.
-	idFree [][]int
-	// indexLive says whether the index buckets are currently maintained
-	// and consulted. The index stays dormant — zero per-event and
-	// per-retune cost — until the listener population reaches indexMin
-	// (indexMinListeners outside tests), where filtering starts paying for
-	// itself.
-	indexMin  int
-	indexLive bool
-	dstats    DisseminationStats
+	dstats   DisseminationStats
 
 	// Spatial tier (farfield.go). These fields exist only while folding is
 	// active (farBudgetDB > 0): spatial flags the folded mode,
-	// farUnitMW/farMaxCount/farN/farCullThresh are derived constants,
-	// farBacked tracks (in lockstep with listeners) whether each listener's
-	// position is snapshot-backed, unbackedIDs lists the ones that are not
-	// (ascending), bySrc/unbounded index the active set for the folded
-	// sums, bandsTough holds the per-band listeners the far cull can never
-	// skip, spill backs link slots outside the rank-indexed rows, and
+	// farUnitMW/farMaxCount/farN are derived constants, farBacked tracks
+	// (in lockstep with listeners) whether each listener's position is
+	// snapshot-backed, bySrc/unbounded index the active set for the folded
+	// sums, spill backs link slots outside the rank-indexed rows, and
 	// nearScratch is the folded sums' reusable gather buffer.
-	farBudgetDB   float64
-	spatial       bool
-	farUnitMW     float64
-	farMaxCount   int
-	farN          int
-	farCullThresh phy.DBm
-	farBacked     []bool
-	unbackedIDs   []int
-	bySrc         [][]*Transmission
-	unbounded     []*Transmission
-	bandsTough    map[phy.MHz][]int
-	spill         map[int64]*linkSlot
-	nearScratch   []*Transmission
+	farBudgetDB float64
+	spatial     bool
+	farUnitMW   float64
+	farMaxCount int
+	farN        int
+	farBacked   []bool
+	bySrc       [][]*Transmission
+	unbounded   []*Transmission
+	spill       map[int64]*linkSlot
+	nearScratch []*Transmission
 }
 
 // sumCache is one listener's memoized SensedPower (or co-channel) result:
@@ -257,27 +236,23 @@ type listenerSums struct {
 }
 
 // linkSlot is one source's entry in a listener's dense link row. The
-// first half is the static link budget: path loss for the recorded
-// geometry and the pair's one-time shadowing draw (the positions are kept
-// so a moved endpoint invalidates the loss while the shadowing draw — a
-// property of the pair, as before — persists). The second half memoizes
-// the pair's received and in-channel powers in milliwatts for one
+// first half is the static link budget: path loss for the pair's fixed
+// geometry and the pair's one-time shadowing draw. The second half
+// memoizes the pair's received and in-channel powers in milliwatts for one
 // transmission (txID) and receiver tuning (inFreq); everything cached is
 // a pure function of state frozen at Transmit time plus the
 // transmission-pinned fading draw, so a recompute after any cache
 // turnover is bit-identical.
 type linkSlot struct {
-	from, to phy.Position
-	loss     float64 // path loss, dB
-	static   float64 // persistent shadowing draw, dB
-	rxMW     float64 // RxPower of txID, milliwatts
-	inMW     float64 // InChannelPower of txID at inFreq, milliwatts
-	inFreq   phy.MHz // receiver tuning inMW was computed for
-	txID     uint64  // transmission the mW caches belong to
-	known    bool    // link budget computed (shadowing drawn)
-	stale    bool    // set by Moved; forces a loss recompute on next use
-	hasRx    bool
-	hasIn    bool
+	loss   float64 // path loss, dB
+	static float64 // persistent shadowing draw, dB
+	rxMW   float64 // RxPower of txID, milliwatts
+	inMW   float64 // InChannelPower of txID at inFreq, milliwatts
+	inFreq phy.MHz // receiver tuning inMW was computed for
+	txID   uint64  // transmission the mW caches belong to
+	known  bool    // link budget computed (shadowing drawn)
+	hasRx  bool
+	hasIn  bool
 }
 
 // noiseFloorMW is phy.NoiseFloor converted once; the CCA hot path adds it
@@ -299,7 +274,6 @@ func New(k *sim.Kernel, opts ...Option) *Medium {
 		fadingRNG:   k.Stream("medium.fading"),
 		staticRNG:   k.Stream("medium.static"),
 		rejDB:       make(map[phy.MHz]float64),
-		indexMin:    indexMinListeners,
 	}
 	for _, o := range opts {
 		o(m)
@@ -311,23 +285,16 @@ func New(k *sim.Kernel, opts ...Option) *Medium {
 // Rejection exposes the curve so radios share the exact same filter model.
 func (m *Medium) Rejection() phy.RejectionCurve { return m.rejection }
 
-// Attach registers a listener and returns its medium ID. A listener that
-// implements InterestedListener is filed under its declared interest;
-// anything else receives every event (ScopeAll), preserving the original
-// notify-everyone contract.
+// Attach registers a listener and returns its medium ID. From then on the
+// listener receives every OnAir/OffAir event until it detaches.
 func (m *Medium) Attach(l Listener) int {
 	m.listeners = append(m.listeners, l)
 	m.sums = append(m.sums, listenerSums{})
 	m.rows = append(m.rows, nil)
 	id := len(m.listeners) - 1
 	if m.spatial {
-		backed := m.lossProvider.Backed(id, l.Position())
-		m.farBacked = append(m.farBacked, backed)
-		if !backed {
-			m.unbackedIDs = insertID(m.unbackedIDs, id)
-		}
+		m.farBacked = append(m.farBacked, m.lossProvider.Backed(id, l.Position()))
 	}
-	m.registerInterest(id, l)
 	return id
 }
 
@@ -341,8 +308,6 @@ func (m *Medium) Detach(id int) {
 	if id < 0 || id >= len(m.listeners) {
 		return
 	}
-	m.dropInterest(id, m.interests[id])
-	m.interests[id] = Interest{Scope: ScopeOwn} // pending interest dies with the listener
 	m.listeners[id] = nil
 	// Zero the departed listener's link row and its slots in every
 	// in-flight transmission's fading cache: a detached listener measures
@@ -363,49 +328,9 @@ func (m *Medium) Detach(id int) {
 	}
 	if m.spatial {
 		m.farBacked[id] = false
-		m.unbackedIDs = removeID(m.unbackedIDs, id)
 	}
 	// The departed listener now measures Silent where a cached sum holds
 	// its old landscape; invalidate every cached sum.
-	m.epoch++
-}
-
-// Moved invalidates the cached path loss of every link-budget row that
-// touches the listener, for deployments whose nodes change position. The
-// pair shadowing draws persist (they model the pair, not the geometry);
-// per-transmission caches are untouched because a Transmission's Pos is
-// frozen at Transmit time.
-func (m *Medium) Moved(id int) {
-	if id < 0 || id >= len(m.rows) {
-		return
-	}
-	// Listener side: every slot in the moved node's own row.
-	row := m.rows[id]
-	for j := range row {
-		if row[j].known {
-			row[j].stale = true
-		}
-	}
-	// Source side: the moved node's column in every other row. In folded
-	// mode rows are rank-indexed, not source-indexed, so the column sweep
-	// is skipped: link() revalidates recorded geometry against the caller's
-	// live positions on every use, and the mover is additionally demoted to
-	// unbacked — its future pairs route through the spill map and its power
-	// sums through the exact full loop.
-	if !m.spatial {
-		for i := range m.rows {
-			if r := m.rows[i]; id < len(r) && r[id].known {
-				r[id].stale = true
-			}
-		}
-	} else if id < len(m.farBacked) && m.farBacked[id] {
-		m.farBacked[id] = false
-		m.unbackedIDs = insertID(m.unbackedIDs, id)
-	}
-	// Defensive: cached sums of in-flight transmissions are actually
-	// unaffected (their per-transmission powers are frozen), but a moved
-	// node is rare and resumming is cheap, so force it rather than reason
-	// about it.
 	m.epoch++
 }
 
@@ -471,45 +396,42 @@ func (m *Medium) newTransmission() *Transmission {
 	return tx
 }
 
-// fanout delivers one OnAir (off=false) or OffAir (off=true) event. The
-// filtered path precomputes the delivery set — listeners provably unable
-// to observe the event are skipped — and walks it in ascending attach-ID
-// order, the exact order the unfiltered loop visits. Listeners detached
-// after the set was computed (a handler detaching a neighbour) are
-// re-checked per delivery, as before. While the index is dormant (small
-// cell) every listener is notified directly — the two paths are
-// bit-identical by construction, so which one runs is purely a cost
-// decision.
+// DisseminationStats counts dissemination work: Events is the number of
+// OnAir/OffAir fan-outs performed, Callbacks the listener notifications
+// invoked. Every live listener hears every event, so Callbacks/Events is
+// the mean live population (BenchmarkOnAirFanout).
+type DisseminationStats struct {
+	Events    uint64
+	Callbacks uint64
+}
+
+// DisseminationStats returns the medium's fan-out counters.
+func (m *Medium) DisseminationStats() DisseminationStats { return m.dstats }
+
+// fanout delivers one OnAir (off=false) or OffAir (off=true) event to every
+// live listener in ascending attach-ID order. Non-orthogonal channels leak
+// into their neighbours, so a receiving radio must observe every event; an
+// idle one rejects what it cannot lock on to in its own handler. Listeners
+// detached by an earlier handler of the same event are skipped. The two
+// loops keep the event kind out of the per-listener path, which is the
+// medium's hottest loop in large cells.
 func (m *Medium) fanout(tx *Transmission, off bool) {
 	m.dstats.Events++
-	if !m.indexLive {
+	if off {
 		for _, l := range m.listeners {
-			if l == nil {
-				continue // detached
-			}
-			m.dstats.Callbacks++
-			if off {
+			if l != nil {
+				m.dstats.Callbacks++
 				l.OffAir(tx)
-			} else {
-				l.OnAir(tx)
 			}
 		}
 		return
 	}
-	ids := m.deliverySet(tx)
-	for _, id := range ids {
-		l := m.listeners[id]
-		if l == nil {
-			continue // detached
-		}
-		m.dstats.Callbacks++
-		if off {
-			l.OffAir(tx)
-		} else {
+	for _, l := range m.listeners {
+		if l != nil {
+			m.dstats.Callbacks++
 			l.OnAir(tx)
 		}
 	}
-	m.putIDScratch(ids)
 }
 
 func (m *Medium) finish(tx *Transmission) {
@@ -580,11 +502,10 @@ func (m *Medium) linkRow(listenerID, src int) []linkSlot {
 }
 
 // link returns the cached slot of the (src, listener) pair, filling its
-// budget half on first use: the path loss for the current geometry plus
-// the pair's one-time shadowing draw (drawn lazily, exactly when the
-// first RxPower for the pair used to draw it). A stale or moved geometry
-// recomputes the loss; the shadowing draw persists — it models the pair,
-// not the path.
+// budget half on first use: the path loss for the pair's geometry plus the
+// pair's one-time shadowing draw (drawn lazily, exactly when the first
+// RxPower for the pair used to draw it). Positions are fixed while
+// attached, so the budget never needs recomputing.
 func (m *Medium) link(src, listenerID int, from, to phy.Position) *linkSlot {
 	var s *linkSlot
 	if m.spatial {
@@ -593,18 +514,11 @@ func (m *Medium) link(src, listenerID int, from, to phy.Position) *linkSlot {
 		s = &m.linkRow(listenerID, src)[src]
 	}
 	if !s.known {
-		s.from, s.to = from, to
 		s.loss = m.lookupLoss(src, listenerID, from, to)
 		if m.staticSigma != 0 {
 			s.static = m.staticRNG.Gaussian(0, m.staticSigma)
 		}
 		s.known = true
-		return s
-	}
-	if s.stale || s.from != from || s.to != to {
-		s.from, s.to = from, to
-		s.loss = m.lookupLoss(src, listenerID, from, to)
-		s.stale = false
 	}
 	return s
 }
@@ -651,6 +565,60 @@ func (m *Medium) fade(tx *Transmission, listenerID int) float64 {
 	}
 	return s.fade
 }
+
+// Reachable reports whether tx could conceivably register at listenerID
+// above phy.Sensitivity, the floor below which no radio can lock on. It is
+// conservative: false only when a bounding transmission across the pair's
+// precomputed path loss would still sit phy.ReachMarginDB below the floor.
+// The bounding power is the 802.15.4 spec maximum for narrowband signals,
+// and the emitter's own frozen transmit power for wideband signals at
+// least as wide as the receiver window — the flat-PSD overlap model never
+// concentrates such a signal above its raw received power. Radios consult
+// it in their idle lock-on path before drawing any fading, so a provably
+// unreachable preamble costs no RNG draw.
+//
+// A pair the snapshot omits is first tested against its certified loss
+// floor; when that bound alone cannot decide, the exact model loss — the
+// expression the snapshot stores for near pairs — is computed, so the
+// answer does not depend on where the snapshot's bound lies.
+func (m *Medium) Reachable(tx *Transmission, listenerID int) bool {
+	if listenerID < 0 || listenerID >= len(m.listeners) || m.lossProvider == nil {
+		return true // unknown ID, or no precomputed losses to prove anything with
+	}
+	power := phy.MaxTxPower
+	if tx.Bandwidth != 0 {
+		if tx.Bandwidth < widebandRxWindowMHz {
+			return true // narrower than the receiver window: dilution could exceed 0 dB
+		}
+		power = tx.Power
+	} else if tx.Power > phy.MaxTxPower {
+		return true // over-spec narrowband emitter: outside the power bound
+	}
+	l := m.listeners[listenerID]
+	if l == nil {
+		return true // detached: it hears nothing anyway
+	}
+	loss, ok := m.lossProvider.PairLoss(tx.Src, listenerID, tx.Pos, l.Position())
+	if !ok {
+		bound, okf := m.lossProvider.PairLossFloor(tx.Src, listenerID, tx.Pos, l.Position())
+		if !okf {
+			return true // outside the snapshot geometry: no proof
+		}
+		if power-phy.DBm(bound)+phy.ReachMarginDB < phy.Sensitivity {
+			return false // even the certified floor loss rules the pair out
+		}
+		// The floor alone cannot decide; fall back to the exact model loss.
+		loss = m.pathLoss.Loss(tx.Pos.DistanceTo(l.Position()))
+	}
+	return power-phy.DBm(loss)+phy.ReachMarginDB >= phy.Sensitivity
+}
+
+// widebandRxWindowMHz is the ~2 MHz window an 802.15.4 receiver integrates;
+// the width InChannelPower's flat-PSD overlap model spreads wideband energy
+// over, and the minimum occupied bandwidth at which that model provably
+// never concentrates energy above the raw received power — the condition
+// Reachable's wideband bound relies on.
+const widebandRxWindowMHz = 2
 
 // InChannelPower returns the portion of tx's energy that lands inside a
 // receiver tuned to freq at listener l, i.e. RxPower reduced by the

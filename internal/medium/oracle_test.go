@@ -14,7 +14,7 @@ import (
 // The differential oracle: the cached sensing accessors must return values
 // bit-identical to a brute-force sum the test maintains itself, under a
 // randomized churn of transmissions starting and ending, listeners
-// detaching, attaching and moving, receivers retuning across channels,
+// detaching and attaching, receivers retuning across channels,
 // wideband and over-spec emitters, and radios excluding their own signal.
 // The oracle tracks the on-air set through the public OnAir/OffAir listener
 // callbacks and sums per-transmission powers through the public
@@ -24,9 +24,7 @@ import (
 // (bit-identical by construction), and the far-field fold (bounded
 // one-sided error).
 
-// trackerListener forwards air events to the test's own bookkeeping. Its
-// zero interest is ScopeAll, so undeclared trackers hear everything like
-// any legacy listener; the churn retunes some of them through SetInterest.
+// trackerListener forwards air events to the test's own bookkeeping.
 type trackerListener struct {
 	pos    phy.Position
 	onAir  func(*Transmission)
@@ -47,8 +45,7 @@ func (l *trackerListener) OffAir(tx *Transmission) {
 
 // oracleConfig parameterises one churn run.
 type oracleConfig struct {
-	seed     int64
-	filterOn bool
+	seed int64
 	// record, when set, accumulates every sampled value for cross-run
 	// bit-identity comparisons.
 	record *[]phy.DBm
@@ -69,31 +66,16 @@ type oracleConfig struct {
 	noFading bool
 }
 
-func TestCachedSumsMatchBruteForce(t *testing.T) {
-	for _, seed := range []int64{1, 2, 7, 42} {
-		for _, filtered := range []bool{true, false} {
-			t.Run(fmt.Sprintf("seed=%d/filtered=%v", seed, filtered), func(t *testing.T) {
-				testOracleChurn(t, oracleConfig{seed: seed, filterOn: filtered})
-			})
-		}
-	}
+// oracleName labels a churn subtest. Every fan-out reaches every live
+// listener; the "filtered=false" suffix keeps the subtest names stable.
+func oracleName(seed int64) string {
+	return fmt.Sprintf("seed=%d/filtered=false", seed)
 }
 
-// TestFilteredChurnBitIdentical replays the full randomized churn twice —
-// interest filter on, then off — and requires every sampled SensedPower,
-// SensedCoChannelPower and Interference value to be bit-identical between
-// the two runs. The filter may only skip deliveries whose handlers would
-// have been no-ops, so the sampled history (including the shared-stream
-// fading draws it triggers) must not move by a single bit. The churn
-// includes wideband and over-spec emitters, so the mergeWide per-member
-// cull is pinned by the same invariant.
-func TestFilteredChurnBitIdentical(t *testing.T) {
+func TestCachedSumsMatchBruteForce(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7, 42} {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			var filtered, unfiltered []phy.DBm
-			testOracleChurn(t, oracleConfig{seed: seed, filterOn: true, record: &filtered})
-			testOracleChurn(t, oracleConfig{seed: seed, filterOn: false, record: &unfiltered})
-			compareSampleHistories(t, filtered, unfiltered, "filtered", "unfiltered")
+		t.Run(oracleName(seed), func(t *testing.T) {
+			testOracleChurn(t, oracleConfig{seed: seed})
 		})
 	}
 }
@@ -107,16 +89,12 @@ func TestFilteredChurnBitIdentical(t *testing.T) {
 // the field's pairs far, so the far fallback actually runs.
 func TestSpatialExactChurnBitIdentical(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
-		for _, filtered := range []bool{true, false} {
-			t.Run(fmt.Sprintf("seed=%d/filtered=%v", seed, filtered), func(t *testing.T) {
-				var dense, near []phy.DBm
-				testOracleChurn(t, oracleConfig{seed: seed, filterOn: filtered, record: &dense,
-					area: 120})
-				testOracleChurn(t, oracleConfig{seed: seed, filterOn: filtered, record: &near,
-					area: 120, nearBound: 95})
-				compareSampleHistories(t, dense, near, "dense", "near-field")
-			})
-		}
+		t.Run(oracleName(seed), func(t *testing.T) {
+			var dense, near []phy.DBm
+			testOracleChurn(t, oracleConfig{seed: seed, record: &dense, area: 120})
+			testOracleChurn(t, oracleConfig{seed: seed, record: &near, area: 120, nearBound: 95})
+			compareSampleHistories(t, dense, near, "dense", "near-field")
+		})
 	}
 }
 
@@ -127,12 +105,10 @@ func TestSpatialExactChurnBitIdentical(t *testing.T) {
 // run here only needs to complete.
 func TestFoldedChurnBoundedError(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
-		for _, filtered := range []bool{true, false} {
-			t.Run(fmt.Sprintf("seed=%d/filtered=%v", seed, filtered), func(t *testing.T) {
-				testOracleChurn(t, oracleConfig{seed: seed, filterOn: filtered,
-					area: 120, nearBound: 95, farBudget: 15, noFading: true})
-			})
-		}
+		t.Run(oracleName(seed), func(t *testing.T) {
+			testOracleChurn(t, oracleConfig{seed: seed,
+				area: 120, nearBound: 95, farBudget: 15, noFading: true})
+		})
 	}
 }
 
@@ -166,7 +142,7 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 			Y: rng.Float64()*cfg.area - cfg.area/2,
 		}
 	}
-	mopts := []Option{withFilter(cfg.filterOn)}
+	var mopts []Option
 	if cfg.noFading {
 		mopts = append(mopts, WithFadingSigma(0), WithStaticFadingSigma(0))
 	}
@@ -259,7 +235,6 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 	// Six listeners scattered over the field; listener 0 maintains the
 	// tracked set. One extra joins and one leaves mid-run.
 	pos := make(map[int]phy.Position)
-	byID := make(map[int]*trackerListener)
 	var ids []int
 	attach := func(p phy.Position, tracked bool) int {
 		l := &trackerListener{pos: p}
@@ -268,7 +243,6 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 		}
 		id := m.Attach(l)
 		pos[id] = p
-		byID[id] = l
 		ids = append(ids, id)
 		return id
 	}
@@ -390,44 +364,6 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 	for i := 0; i < 250; i++ {
 		k.After(time.Duration(rng.Intn(int(span))), check)
 	}
-	// Interest churn: the untracked listeners hop between hearing
-	// everything, one band (with and without a cull floor), and only their
-	// own signals. Sensing is pull-based, so none of this may move a bit
-	// of any sampled value — it only reshapes the index the filtered
-	// fan-out walks. The victim's retunes after its detach are no-ops.
-	for i := 0; i < 60; i++ {
-		id := ids[1+rng.Intn(len(ids)-1)]
-		in := Interest{}
-		switch rng.Intn(4) {
-		case 1:
-			in = Interest{Scope: ScopeBand, Band: channels[rng.Intn(len(channels))]}
-		case 2:
-			in = Interest{Scope: ScopeBand, Band: channels[rng.Intn(len(channels))], Floor: phy.Sensitivity}
-		case 3:
-			in = Interest{Scope: ScopeOwn}
-		}
-		k.After(time.Duration(rng.Intn(int(span))), func() { m.SetInterest(id, in) })
-	}
-	// Motion churn: listeners drift mid-run, sources and samplers alike.
-	// Moved marks every link touching the mover stale — path loss is
-	// recomputed from the new positions at the next use, while persistent
-	// shadowing draws and per-transmission fading stay put — and
-	// invalidates the cached sums, so every sample after a move compares a
-	// freshly resummed value against the brute-force walk over the same
-	// recomputed links. Under a snapshot provider a mover's geometry no
-	// longer matches, so its pairs take the verify-and-fall-back path; in
-	// folded mode the mover is demoted to unbacked exact sums.
-	for i := 0; i < 40; i++ {
-		id := ids[rng.Intn(len(ids))]
-		dx := rng.Float64()*8 - 4
-		dy := rng.Float64()*8 - 4
-		k.After(time.Duration(rng.Intn(int(span))), func() {
-			l := byID[id]
-			l.pos = phy.Position{X: l.pos.X + dx, Y: l.pos.Y + dy}
-			pos[id] = l.pos
-			m.Moved(id)
-		})
-	}
 	k.After(span/2, func() { m.Detach(victim) })
 	k.After(3*span/4, func() {
 		attach(phy.Position{X: rng.Float64() * 10, Y: -5}, false)
@@ -439,8 +375,7 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 	}
 	check() // quiescent air: pure noise floor everywhere
 	// The fold must actually have been live for a meaningful share of the
-	// samples (motion churn demotes movers to unbacked exact sums, so the
-	// count decays over the run — but it must not start at zero).
+	// samples.
 	if folded && foldedSamples == 0 {
 		t.Fatal("folded run sampled no folded listener — the fold path was never exercised")
 	}

@@ -39,7 +39,7 @@ const (
 // any such proof is probabilistic in the strictest sense — but 40 dB is
 // more than 11 standard deviations of the default combined σ=√(3²+2²) dB
 // distribution (exceedance ~2e-28 per draw), far beyond anything a
-// simulation of any length can observe. Shared by the medium's interest
+// simulation of any length can observe. Shared by the medium's lock-on
 // cull and the spatial tier's far-pair bounds so the two always agree.
 const ReachMarginDB DBm = 40
 

@@ -73,10 +73,8 @@ func (r *Radio) EnergyReport() EnergyReport {
 }
 
 // setState transitions the state machine, charging the elapsed residency
-// of the outgoing state to the energy meter and re-filing the radio's
-// event interest, which is a function of the state.
+// of the outgoing state to the energy meter.
 func (r *Radio) setState(s State) {
 	r.energy.account(r.state, r.cfg.TxPower, r.kernel.Now())
 	r.state = s
-	r.medium.SetInterest(r.id, r.Interest())
 }

@@ -171,26 +171,6 @@ func New(k *sim.Kernel, m *medium.Medium, cfg Config) *Radio {
 	return r
 }
 
-// Interest implements medium.InterestedListener: the events a radio's
-// handlers can react to are fully determined by its state. Idle, it can
-// only lock on to decodable co-channel preambles above the sensitivity
-// floor; receiving, any landscape change anywhere splits the SINR
-// integration segment, so it must hear everything. A transmitting or
-// powered-off radio is deaf to all but its own transmission's completion
-// (the source is always in its own delivery set) — but it deliberately
-// declares the same band interest as idle rather than collapsing to
-// ScopeOwn: delivering to a deaf radio is a guaranteed no-op (OnAir
-// returns immediately in TX/Off), so band membership is a safe superset,
-// and keeping it makes the per-packet idle↔TX transitions free for the
-// medium's interest index — no bucket surgery on the hottest transition
-// in a saturated cell. Only RX entry/exit and retunes move buckets.
-func (r *Radio) Interest() medium.Interest {
-	if r.state == StateRX {
-		return medium.Interest{Scope: medium.ScopeAll}
-	}
-	return medium.Interest{Scope: medium.ScopeBand, Band: r.cfg.Freq, Floor: phy.Sensitivity}
-}
-
 // ID returns the radio's medium attachment ID.
 func (r *Radio) ID() int { return r.id }
 
@@ -265,7 +245,6 @@ func (r *Radio) SetFreq(f phy.MHz) {
 	}
 	r.abortRx()
 	r.cfg.Freq = f
-	r.medium.SetInterest(r.id, r.Interest())
 }
 
 // SetOff powers the radio down, aborting any reception in progress. Used
@@ -355,11 +334,8 @@ func (r *Radio) OnAir(tx *medium.Transmission) {
 	if tx.Freq != r.cfg.Freq {
 		return
 	}
-	// The same reachability predicate the dissemination filter applies:
-	// a transmission provably below the sensitivity floor cannot lock
-	// (and must not consume a fading draw), whether or not the filter
-	// delivered the event — that shared gate is what keeps filtered and
-	// unfiltered runs bit-identical.
+	// A transmission provably below the sensitivity floor cannot lock,
+	// and must not consume a fading draw.
 	if !r.medium.Reachable(tx, r.id) {
 		return
 	}

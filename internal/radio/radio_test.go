@@ -473,3 +473,32 @@ func TestNoCaptureWithoutMargin(t *testing.T) {
 		t.Errorf("delivered srcs = %v, want none without capture", clean)
 	}
 }
+
+// TestEveryRadioHearsEveryEvent pins the medium's one fan-out path: with
+// radios split across two channels, one transmission's OnAir and OffAir
+// each reach every attached radio, including the idle ones on the other
+// channel, whose handlers reject the event themselves.
+func TestEveryRadioHearsEveryEvent(t *testing.T) {
+	k, m := world(t)
+	const n = 64
+	radios := make([]*Radio, n)
+	for i := range radios {
+		freq := phy.MHz(2460)
+		if i%2 == 1 {
+			freq = 2465
+		}
+		radios[i] = New(k, m, Config{
+			Pos:     phy.Position{X: float64(i % 8), Y: float64(i / 8)},
+			Freq:    freq,
+			Address: frame.Address(i + 1),
+		})
+	}
+	if _, err := radios[0].Transmit(dataFrame(16, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+	st := m.DisseminationStats()
+	if st.Events != 2 || st.Callbacks != 2*n {
+		t.Fatalf("DisseminationStats = %+v, want 2 events and %d callbacks (every radio, OnAir and OffAir)", st, 2*n)
+	}
+}

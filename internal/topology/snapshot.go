@@ -125,7 +125,7 @@ func (s *Snapshot) Model() phy.PathLossModel { return s.model }
 // loss for the (src, listener) attach-ID pair when both indices are inside
 // the snapshot and both positions still match the captured geometry. The
 // position check makes the lookup self-verifying — a mismatched node (late
-// attacher, mover, or an index shifted by caller-added nodes) simply falls
+// attacher, or an index shifted by caller-added nodes) simply falls
 // back to the medium's own model, never to a wrong value. Safe for
 // concurrent use: the snapshot is immutable after construction.
 func (s *Snapshot) PairLoss(src, listener int, from, to phy.Position) (float64, bool) {
