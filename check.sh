@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh — the full local gate (`make check` runs it): gofmt, vet, the
-# perfbench module, dcnlint, build, the named -race subsets, the full test
-# suite under the race detector, the benchmark smoke runs and the bench
-# compare.
+# perfbench module, dcnlint, build, the phy BER exactness tests, the named
+# -race subsets, the full test suite under the race detector, the
+# benchmark smoke runs and the bench compare.
 set -eu
 cd "$(dirname "$0")"
 
@@ -46,6 +46,15 @@ require_tests() {
 	done
 }
 
+echo "== phy BER exactness"
+# BitErrorRate stops its 15-term DSSS sum at the first term that
+# underflows to 0. These two tests are its portable guard (the golden
+# manifest is recorded on amd64 only): bit-identity against the full
+# reference sum over −30…80 dB, and the math.Exp zero-floor premise the
+# early exit rests on, checked on whatever GOARCH runs this gate.
+phy_exact='TestBitErrorRateMatchesReference|TestExpZeroFloorIsMonotone'
+require_tests ./internal/phy "$phy_exact"
+go test -count=1 -run "$phy_exact" ./internal/phy
 echo "== medium sensing oracle tests under -race"
 # The medium's correctness surface, run first and by name: the
 # brute-force sensing oracle, the spatial-exact bit-identity replay and
@@ -76,6 +85,8 @@ go test -race -timeout 1800s ./...
 echo "== bench smoke (1 iteration)"
 go run ./cmd/dcnbench -bench 'KernelScheduleCancel|SensedPowerDense|OnAirFanout$' \
 	-benchtime 1x -pkgs ./internal/sim,./internal/medium -out /dev/null
+go run ./cmd/dcnbench -bench 'BitErrorRate' \
+	-benchtime 1x -pkgs ./internal/phy -out /dev/null
 go run ./cmd/dcnbench -bench 'CellSetup' \
 	-benchtime 1x -pkgs ./internal/testbed -out /dev/null
 # City-scale smoke: one iteration proves the 5,000-node spatial-tier

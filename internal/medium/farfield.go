@@ -61,7 +61,7 @@ func (m *Medium) FarFieldErrorDB() float64 {
 }
 
 func foldErrorDB(maxFarCount int, unitMW float64) float64 {
-	return 10 * math.Log10(1+float64(maxFarCount)*unitMW/noiseFloorMW)
+	return 10 * math.Log10(1+float64(maxFarCount)*unitMW/phy.NoiseFloorMW)
 }
 
 // resolveFarField derives the spatial-tier state from the freshly applied

@@ -88,7 +88,7 @@ func TestFarFieldBudgetContract(t *testing.T) {
 		m := New(sim.NewKernel(1), WithLossProvider(sparse), WithFarField(15))
 		_, maxFar := sparse.FarField()
 		unit := (phy.MaxTxPower - phy.DBm(95)).Milliwatts()
-		want := 10 * math.Log10(1+float64(maxFar)*unit/noiseFloorMW)
+		want := 10 * math.Log10(1+float64(maxFar)*unit/phy.NoiseFloorMW)
 		got := m.FarFieldErrorDB()
 		if math.Abs(got-want) > 1e-12 || got <= 0 || got > 15 {
 			t.Fatalf("FarFieldErrorDB() = %v, want %v (within the 15 dB budget)", got, want)
@@ -120,7 +120,7 @@ func TestFoldedUnbackedFallbacks(t *testing.T) {
 	// While a far node transmits, a folded listener's reading sits above
 	// the exact truth by at most the declared error.
 	tx := m.Transmit(ids[9], probes[9].pos, 0, 2458, testFrame(16))
-	exact := phy.FromMilliwatts(noiseFloorMW + m.InChannelPower(tx, ids[5], 2458).Milliwatts())
+	exact := phy.FromMilliwatts(phy.NoiseFloorMW + m.InChannelPower(tx, ids[5], 2458).Milliwatts())
 	folded := m.SensedPower(ids[5], 2458, nil)
 	if float64(folded) < float64(exact) || float64(folded) > float64(exact)+m.FarFieldErrorDB()+1e-9 {
 		t.Fatalf("folded SensedPower = %v, want within [%v, +%v dB]", folded, exact, m.FarFieldErrorDB())
@@ -139,7 +139,7 @@ func TestFoldedUnbackedFallbacks(t *testing.T) {
 		t.Fatal("late attacher folded despite being outside the snapshot")
 	}
 	// Its sums are exact: compare against a brute-force walk.
-	want := phy.FromMilliwatts(noiseFloorMW + m.InChannelPower(tx, late, 2458).Milliwatts())
+	want := phy.FromMilliwatts(phy.NoiseFloorMW + m.InChannelPower(tx, late, 2458).Milliwatts())
 	if got := m.SensedPower(late, 2458, nil); got != want {
 		t.Fatalf("unbacked SensedPower = %v, want exact %v", got, want)
 	}

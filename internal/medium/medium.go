@@ -255,10 +255,6 @@ type linkSlot struct {
 	hasIn  bool
 }
 
-// noiseFloorMW is phy.NoiseFloor converted once; the CCA hot path adds it
-// on every sample.
-var noiseFloorMW = phy.NoiseFloor.Milliwatts()
-
 // New creates a medium bound to the kernel. Defaults: indoor log-distance
 // path loss, the calibrated CC2420 rejection curve, 3 dB static per-link
 // shadowing and 2 dB per-transmission jitter (the combination that
@@ -765,7 +761,7 @@ func (m *Medium) sumSet(listenerID int) (set []*Transmission, farMW float64) {
 // sensedPowerDirect is the reference ID-ordered sum behind SensedPower.
 func (m *Medium) sensedPowerDirect(listenerID int, freq phy.MHz, exclude *Transmission) phy.DBm {
 	set, farMW := m.sumSet(listenerID)
-	total := noiseFloorMW + farMW
+	total := phy.NoiseFloorMW + farMW
 	for _, tx := range set {
 		if exclude != nil && tx.ID == exclude.ID {
 			continue
@@ -810,7 +806,7 @@ func (m *Medium) SensedCoChannelPower(listenerID int, freq phy.MHz, exclude *Tra
 // reading carries the same one-sided error bound as SensedPower.
 func (m *Medium) sensedCoChannelDirect(listenerID int, freq phy.MHz, exclude *Transmission) phy.DBm {
 	set, farMW := m.sumSet(listenerID)
-	total := noiseFloorMW + farMW
+	total := phy.NoiseFloorMW + farMW
 	for _, tx := range set {
 		if exclude != nil && tx.ID == exclude.ID {
 			continue

@@ -196,7 +196,7 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 		return s
 	}
 	bruteSensed := func(lid int, freq phy.MHz, exclude *Transmission) phy.DBm {
-		total := noiseFloorMW
+		total := phy.NoiseFloorMW
 		for _, tx := range ordered() {
 			if exclude != nil && tx.ID == exclude.ID {
 				continue
@@ -209,7 +209,7 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 		return phy.FromMilliwatts(total)
 	}
 	bruteCoChannel := func(lid int, freq phy.MHz, exclude *Transmission) phy.DBm {
-		total := noiseFloorMW
+		total := phy.NoiseFloorMW
 		for _, tx := range ordered() {
 			if exclude != nil && tx.ID == exclude.ID {
 				continue

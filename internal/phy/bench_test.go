@@ -10,6 +10,17 @@ func BenchmarkBitErrorRate(b *testing.B) {
 	_ = s
 }
 
+// BenchmarkBitErrorRatePaperRange sweeps −10…60 dB, the SINRs a paper
+// cell's reception segments actually see: above the cliff most terms of
+// the DSSS sum underflow to 0.
+func BenchmarkBitErrorRatePaperRange(b *testing.B) {
+	s := 0.0
+	for i := 0; i < b.N; i++ {
+		s += BitErrorRate(float64(i%71) - 10)
+	}
+	_ = s
+}
+
 func BenchmarkPacketErrorRate(b *testing.B) {
 	s := 0.0
 	for i := 0; i < b.N; i++ {

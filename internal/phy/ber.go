@@ -22,11 +22,16 @@ const ImplementationLoss = 3.5
 // near-perfect reception from total loss.
 func BitErrorRate(sinrDB float64) float64 {
 	gamma := math.Pow(10, (sinrDB-ImplementationLoss)/10)
+	g := 20 * gamma
 	sum := 0.0
-	sign := 1.0 // (-1)^k for k=2 is +1
 	for k := 2; k <= 16; k++ {
-		sum += sign * binomial16[k] * math.Exp(20*gamma*(1/float64(k)-1))
-		sign = -sign
+		e := math.Exp(g * berExponent[k])
+		if e == 0 {
+			// The exponent falls with k and math.Exp is 0 below a fixed
+			// floor, so every later term is ±0 and cannot change sum.
+			break
+		}
+		sum += berCoeff[k] * e
 	}
 	ber := (8.0 / 15.0) * (1.0 / 16.0) * sum
 	if ber < 0 {
@@ -38,11 +43,19 @@ func BitErrorRate(sinrDB float64) float64 {
 	return ber
 }
 
-// binomial16[k] = C(16, k).
-var binomial16 = [17]float64{
-	1, 16, 120, 560, 1820, 4368, 8008, 11440,
-	12870, 11440, 8008, 4368, 1820, 560, 120, 16, 1,
+// berCoeff[k] = (−1)^k·C(16, k) and berExponent[k] = 1/k − 1: the
+// per-term constants of the BitErrorRate sum, computed once.
+var berCoeff = [17]float64{
+	1, -16, 120, -560, 1820, -4368, 8008, -11440,
+	12870, -11440, 8008, -4368, 1820, -560, 120, -16, 1,
 }
+
+var berExponent = func() (e [17]float64) {
+	for k := 1; k <= 16; k++ {
+		e[k] = 1/float64(k) - 1
+	}
+	return e
+}()
 
 // PacketErrorRate returns the probability that at least one of bits bits is
 // corrupted at the given SINR, assuming independent bit errors.

@@ -93,9 +93,13 @@ func Minus(total, other DBm) DBm {
 	return FromMilliwatts(diff)
 }
 
+// NoiseFloorMW is NoiseFloor converted to milliwatts once: SINR and the
+// medium's carrier-sense sums add it on every call.
+var NoiseFloorMW = NoiseFloor.Milliwatts()
+
 // SINR computes the signal-to-interference-plus-noise ratio in dB for a
 // signal against a combined interference level, including the noise floor.
 func SINR(signal, interference DBm) float64 {
-	denom := interference.Milliwatts() + NoiseFloor.Milliwatts()
+	denom := interference.Milliwatts() + NoiseFloorMW
 	return float64(signal) - 10*math.Log10(denom)
 }
