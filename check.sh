@@ -48,11 +48,13 @@ require_tests() {
 
 echo "== phy BER exactness"
 # BitErrorRate stops its 15-term DSSS sum at the first term that
-# underflows to 0. These two tests are its portable guard (the golden
+# underflows to 0. These tests are its portable guard (the golden
 # manifest is recorded on amd64 only): bit-identity against the full
-# reference sum over −30…80 dB, and the math.Exp zero-floor premise the
-# early exit rests on, checked on whatever GOARCH runs this gate.
-phy_exact='TestBitErrorRateMatchesReference|TestExpZeroFloorIsMonotone'
+# reference sum over −30…80 dB, the math.Exp zero-floor premise the
+# early exit rests on, and the exact-zero BER from phy.ZeroBERSINR up
+# that the radio's zero-error certificate rests on, checked on whatever
+# GOARCH runs this gate.
+phy_exact='TestBitErrorRateMatchesReference|TestExpZeroFloorIsMonotone|TestZeroBERSINRPremise'
 require_tests ./internal/phy "$phy_exact"
 go test -count=1 -run "$phy_exact" ./internal/phy
 echo "== medium sensing oracle tests under -race"

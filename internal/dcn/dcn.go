@@ -229,8 +229,10 @@ type Adjustor struct {
 	sampler       *sim.Ticker
 	initDone      sim.Event
 
-	// Updating Phase state.
+	// Updating Phase state. window[head:] holds the live T_U records in
+	// arrival order; window[:head] are records prune has retired.
 	window      []record
+	head        int
 	lastCaseI   sim.Time
 	checkTicker *sim.Ticker
 
@@ -346,6 +348,7 @@ func (a *Adjustor) Start() {
 	a.initMinRSSI = 0
 	a.initMaxSensed = phy.Silent
 	a.window = a.window[:0]
+	a.head = 0
 	a.radio.SetCCAThreshold(a.cfg.Fallback)
 	a.lastProgrammed = a.cfg.Fallback
 	a.hasProgrammed = true
@@ -439,6 +442,13 @@ func (a *Adjustor) Observe(r radio.Reception) {
 		}
 	case PhaseUpdating:
 		now := a.kernel.Now()
+		if len(a.window) == cap(a.window) && a.head > 0 {
+			// Reuse the retired prefix instead of growing: the slice
+			// grows only when every record in it is live.
+			n := copy(a.window, a.window[a.head:])
+			a.window = a.window[:n]
+			a.head = 0
+		}
 		a.window = append(a.window, record{at: now, rssi: r.RSSI})
 		a.prune(now)
 		// Case I (Eq. 3): immediately lower on a weaker co-channel packet.
@@ -480,33 +490,37 @@ func (a *Adjustor) caseIICheck() {
 		return
 	}
 	a.prune(now)
-	if len(a.window) == 0 {
+	if a.WindowSize() == 0 {
 		return // nothing heard recently; keep the current threshold
 	}
-	min := a.window[0].rssi
-	for _, rec := range a.window[1:] {
+	a.program(a.windowMin())
+}
+
+// windowMin returns the weakest RSSI among the live window records; the
+// window must be non-empty.
+func (a *Adjustor) windowMin() phy.DBm {
+	live := a.window[a.head:]
+	min := live[0].rssi
+	for _, rec := range live[1:] {
 		if rec.rssi < min {
 			min = rec.rssi
 		}
 	}
-	a.program(min)
+	return min
 }
 
-// prune drops window records older than T_U.
+// prune retires window records older than T_U by advancing head past
+// them, O(1) per retired record; Observe reclaims the retired prefix.
 func (a *Adjustor) prune(now sim.Time) {
 	cutoff := now - sim.FromDuration(a.cfg.UpdateWindow)
-	i := 0
-	for i < len(a.window) && a.window[i].at < cutoff {
-		i++
-	}
-	if i > 0 {
-		a.window = append(a.window[:0], a.window[i:]...)
+	for a.head < len(a.window) && a.window[a.head].at < cutoff {
+		a.head++
 	}
 }
 
-// WindowSize reports the number of RSSI records currently retained
+// WindowSize reports the number of live RSSI records, window[head:]
 // (exported for tests and instrumentation).
-func (a *Adjustor) WindowSize() int { return len(a.window) }
+func (a *Adjustor) WindowSize() int { return len(a.window) - a.head }
 
 // watchdogCheck is the self-healing monitor. Three independent detectors:
 //

@@ -232,13 +232,7 @@ func TestThresholdInvariantNeverAboveWindowMin(t *testing.T) {
 		if a.WindowSize() == 0 {
 			return 0, false
 		}
-		min := a.window[0].rssi
-		for _, rec := range a.window[1:] {
-			if rec.rssi < min {
-				min = rec.rssi
-			}
-		}
-		return min, true
+		return a.windowMin(), true
 	}
 	tick := k.NewTicker(50*time.Millisecond, func() {
 		a.Observe(rcv(phy.DBm(rng.UniformRange(-90, -40))))
@@ -251,6 +245,66 @@ func TestThresholdInvariantNeverAboveWindowMin(t *testing.T) {
 	})
 	defer tick.Stop()
 	k.RunUntil(sim.FromDuration(30 * time.Second))
+}
+
+func TestWindowMatchesLiveRecordsAndStaysBounded(t *testing.T) {
+	// 60 s of 20 ms observations with a 4 s silence in the middle: the
+	// live window is exactly the records of the last T_U (none, late in
+	// the silence), and reclaiming retired records keeps the backing
+	// array within twice the peak live size.
+	k, m := world(t)
+	r := newRadio(k, m, 1, 0, 2460)
+	a := New(k, r, Config{})
+	a.Start()
+	k.RunUntil(sim.FromDuration(1100 * time.Millisecond))
+
+	type obs struct {
+		at   sim.Time
+		rssi phy.DBm
+	}
+	var seen []obs
+	peak := 0
+	rng := k.Stream("test.rssi")
+	silent := func(now sim.Time) bool {
+		return now >= sim.FromDuration(30*time.Second) && now < sim.FromDuration(34*time.Second)
+	}
+	tick := k.NewTicker(20*time.Millisecond, func() {
+		now := k.Now()
+		if silent(now) {
+			a.prune(now)
+		} else {
+			rssi := phy.DBm(rng.UniformRange(-90, -40))
+			a.Observe(rcv(rssi))
+			seen = append(seen, obs{now, rssi})
+		}
+		cutoff := now - sim.FromDuration(a.cfg.UpdateWindow)
+		live, min := 0, phy.DBm(0)
+		for _, o := range seen {
+			if o.at >= cutoff {
+				if live == 0 || o.rssi < min {
+					min = o.rssi
+				}
+				live++
+			}
+		}
+		if a.WindowSize() != live {
+			t.Fatalf("at %v: WindowSize() = %d, want %d live records", now, a.WindowSize(), live)
+		}
+		if live > 0 && a.windowMin() != min {
+			t.Fatalf("at %v: windowMin() = %v, want %v", now, a.windowMin(), min)
+		}
+		if live > peak {
+			peak = live
+		}
+	})
+	defer tick.Stop()
+	k.RunUntil(sim.FromDuration(61100 * time.Millisecond))
+	if len(seen) < 2700 {
+		t.Fatalf("only %d observations", len(seen))
+	}
+	if c := cap(a.window); c > 2*peak {
+		t.Fatalf("cap(window) = %d, want at most 2x the peak live size %d", c, peak)
+	}
 }
 
 func TestResetReturnsToInit(t *testing.T) {

@@ -219,11 +219,15 @@ type sumCache struct {
 }
 
 // interfCache is the Interference variant, additionally keyed by the wanted
-// transmission being excluded from the sum.
+// transmission being excluded from the sum. It keeps the raw milliwatt sum
+// (far-field term included) beside its dBm value: Interference and
+// InterferenceMW share one fill, and a receiver that only needs the mW
+// sum to bound its SINR reads it without a dBm round trip.
 type interfCache struct {
 	freq   phy.MHz
 	wanted uint64
 	epoch  uint64
+	mw     float64
 	dbm    phy.DBm
 	valid  bool
 }
@@ -827,21 +831,40 @@ func (m *Medium) sensedCoChannelDirect(listenerID int, freq phy.MHz, exclude *Tr
 func (m *Medium) Interference(wanted *Transmission, listenerID int, freq phy.MHz) phy.DBm {
 	c := &m.sums[listenerID].interf
 	if !c.valid || c.epoch != m.epoch || c.freq != freq || c.wanted != wanted.ID {
-		*c = interfCache{
-			freq:   freq,
-			wanted: wanted.ID,
-			epoch:  m.epoch,
-			dbm:    m.interferenceDirect(wanted, listenerID, freq),
-			valid:  true,
-		}
+		m.fillInterf(c, wanted, listenerID, freq)
 	}
 	return c.dbm
 }
 
-// interferenceDirect is the reference ID-ordered sum behind Interference.
-// It excludes the noise floor but not the far-field term: a receiver's
-// SINR denominator must account for the folded far field.
-func (m *Medium) interferenceDirect(wanted *Transmission, listenerID int, freq phy.MHz) phy.DBm {
+// InterferenceMW is Interference in milliwatts, before the dBm
+// conversion: Interference == phy.FromMilliwatts(InterferenceMW) bit for
+// bit. Both read the same cache entry.
+func (m *Medium) InterferenceMW(wanted *Transmission, listenerID int, freq phy.MHz) float64 {
+	c := &m.sums[listenerID].interf
+	if !c.valid || c.epoch != m.epoch || c.freq != freq || c.wanted != wanted.ID {
+		m.fillInterf(c, wanted, listenerID, freq)
+	}
+	return c.mw
+}
+
+// fillInterf refills the listener's interference cache entry c from
+// interferenceDirect.
+func (m *Medium) fillInterf(c *interfCache, wanted *Transmission, listenerID int, freq phy.MHz) {
+	mw := m.interferenceDirect(wanted, listenerID, freq)
+	*c = interfCache{
+		freq:   freq,
+		wanted: wanted.ID,
+		epoch:  m.epoch,
+		mw:     mw,
+		dbm:    phy.FromMilliwatts(mw),
+		valid:  true,
+	}
+}
+
+// interferenceDirect is the reference ID-ordered sum behind Interference,
+// in milliwatts. It excludes the noise floor but not the far-field term: a
+// receiver's SINR denominator must account for the folded far field.
+func (m *Medium) interferenceDirect(wanted *Transmission, listenerID int, freq phy.MHz) float64 {
 	set, total := m.sumSet(listenerID)
 	for _, tx := range set {
 		if tx.ID == wanted.ID || tx.Src == listenerID {
@@ -849,5 +872,5 @@ func (m *Medium) interferenceDirect(wanted *Transmission, listenerID int, freq p
 		}
 		total += m.inChannelMW(tx, listenerID, freq)
 	}
-	return phy.FromMilliwatts(total)
+	return total
 }

@@ -332,6 +332,9 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 				if len(active) > 0 {
 					wanted := active[0]
 					compareMW(lid, sample(m.Interference(wanted, lid, freq)), bruteInterference(wanted, lid, freq))
+					if got, want := phy.FromMilliwatts(m.InterferenceMW(wanted, lid, freq)), m.Interference(wanted, lid, freq); got != want {
+						t.Fatalf("listener %d: FromMilliwatts(InterferenceMW) = %v, Interference = %v", lid, got, want)
+					}
 				}
 			}
 		}

@@ -73,5 +73,14 @@ func PacketErrorRate(sinrDB float64, bits int) float64 {
 // CliffSINR is the approximate SINR in dB at which a typical data frame
 // (on the order of 500–1000 bits) transitions from mostly-lost to
 // mostly-received. Exposed for tests and documentation; the simulator
-// itself always evaluates the full curve.
+// never branches on it.
 const CliffSINR = 2.5
+
+// ZeroBERSINR is an SINR in dB at and above which BitErrorRate returns
+// exactly +0: the k=2 term, the largest of the sum, underflows there, so
+// the early exit leaves the sum at 0. The last non-zero value sits near
+// 22.2223 dB; TestZeroBERSINRPremise checks the premise on the running
+// GOARCH. The radio uses it to skip the SINR→BER chain for segments whose
+// SINR it can bound above this level, which cannot change any draw:
+// sim.RNG.Binomial(n, 0) returns 0 without consuming randomness.
+const ZeroBERSINR = 22.3

@@ -91,6 +91,56 @@ func TestExpZeroFloorIsMonotone(t *testing.T) {
 	}
 }
 
+// TestZeroBERSINRPremise checks the premise of the radio's zero-error
+// certificate on the running GOARCH: BitErrorRate is exactly +0 at every
+// SINR from ZeroBERSINR up, and its last non-zero value sits more than
+// 0.01 dB below ZeroBERSINR.
+func TestZeroBERSINRPremise(t *testing.T) {
+	zero := func(s float64) {
+		t.Helper()
+		if ber := BitErrorRate(s); math.Float64bits(ber) != 0 {
+			t.Fatalf("BitErrorRate(%v) = %v (%#x), want +0", s, ber, math.Float64bits(ber))
+		}
+	}
+	// ZeroBERSINR…100 dB in 1e-4 dB steps with both float64 neighbours,
+	// then geometric 0.01% steps up to 1e6 dB.
+	const lo, hi, step = ZeroBERSINR, 100.0, 1e-4
+	zero(lo)
+	for i := 1; i <= int((hi-lo)/step); i++ {
+		s := lo + float64(i)*step
+		zero(math.Nextafter(s, math.Inf(-1)))
+		zero(s)
+		zero(math.Nextafter(s, math.Inf(1)))
+	}
+	for s := hi; s <= 1e6; s *= 1.0001 {
+		zero(s)
+	}
+	for _, s := range []float64{1e6, math.MaxFloat64, math.Inf(1)} {
+		zero(s)
+	}
+
+	// Bisect to the last SINR with a non-zero BER.
+	nz, z := 20.0, ZeroBERSINR
+	if BitErrorRate(nz) == 0 {
+		t.Fatalf("BitErrorRate(%v) = 0: the boundary is below the bisection bracket", nz)
+	}
+	for {
+		mid := nz + (z-nz)/2
+		if mid == nz || mid == z {
+			break
+		}
+		if BitErrorRate(mid) == 0 {
+			z = mid
+		} else {
+			nz = mid
+		}
+	}
+	t.Logf("last non-zero BER at %.17g dB, first zero at %.17g dB", nz, z)
+	if nz >= ZeroBERSINR-0.01 {
+		t.Fatalf("last non-zero BER at %v dB, want below ZeroBERSINR-0.01 = %v", nz, ZeroBERSINR-0.01)
+	}
+}
+
 func TestBitErrorRateMonotoneDecreasing(t *testing.T) {
 	prev := 1.0
 	for sinr := -10.0; sinr <= 15; sinr += 0.25 {

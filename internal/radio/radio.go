@@ -109,6 +109,25 @@ type RegisterStats struct {
 	IgnoredWrites int
 }
 
+// SegmentStats counts the reception segments a radio closed, by how their
+// bit errors were charged. Plain deterministic counters: the same seed
+// yields the same counts on any host.
+type SegmentStats struct {
+	// Closed counts segments that carried at least one whole bit.
+	Closed uint64
+	// CertifiedZero counts segments whose SINR was provably at or above
+	// phy.ZeroBERSINR, charged zero errors without evaluating the BER.
+	CertifiedZero uint64
+	// Exact counts segments charged through the SINR→BER→Binomial chain.
+	Exact uint64
+}
+
+// certMarginDB is the slack the zero-error certificate keeps above
+// phy.ZeroBERSINR: 0.23% in linear power, many orders of magnitude above
+// the rounding of the exact path's mW→dBm→mW round trip, so a certified
+// segment's exact SINR can never fall below phy.ZeroBERSINR.
+const certMarginDB = 0.01
+
 // Radio is one transceiver attached to a medium. Single-threaded, like the
 // rest of the simulation.
 type Radio struct {
@@ -127,6 +146,7 @@ type Radio struct {
 	// the stuck-register fault model.
 	ccaStuck bool
 	regStats RegisterStats
+	segStats SegmentStats
 
 	rx     *receptionState
 	ownTx  *medium.Transmission
@@ -146,12 +166,26 @@ type Radio struct {
 }
 
 type receptionState struct {
-	tx        *medium.Transmission
-	signal    phy.DBm
+	tx     *medium.Transmission
+	signal phy.DBm
+	// zeroMW bounds the noise-plus-interference, in milliwatts, under
+	// which a segment's SINR is at least phy.ZeroBERSINR + certMarginDB.
+	zeroMW    float64
 	bitErrors int
 	segStart  sim.Time
 	collided  bool
 	carry     float64 // fractional bits not yet attributed to a segment
+}
+
+// newReception starts a reception of tx at the given signal power.
+func newReception(tx *medium.Transmission, signal phy.DBm, now sim.Time, collided bool) receptionState {
+	return receptionState{
+		tx:       tx,
+		signal:   signal,
+		zeroMW:   (signal - phy.ZeroBERSINR - certMarginDB).Milliwatts(),
+		segStart: now,
+		collided: collided,
+	}
 }
 
 // New attaches a radio to the medium in the idle state.
@@ -318,12 +352,7 @@ func (r *Radio) OnAir(tx *medium.Transmission) {
 		// arrival steals the lock.
 		if r.cfg.CaptureMargin > 0 && tx.Freq == r.cfg.Freq {
 			if newSignal := r.medium.RxPower(tx, r.id); newSignal >= r.rx.signal+r.cfg.CaptureMargin {
-				r.rxBuf = receptionState{
-					tx:       tx,
-					signal:   newSignal,
-					segStart: r.kernel.Now(),
-					collided: true,
-				}
+				r.rxBuf = newReception(tx, newSignal, r.kernel.Now(), true)
 				r.rx = &r.rxBuf
 			}
 		}
@@ -344,11 +373,7 @@ func (r *Radio) OnAir(tx *medium.Transmission) {
 		return
 	}
 	r.setState(StateRX)
-	r.rxBuf = receptionState{
-		tx:       tx,
-		signal:   signal,
-		segStart: r.kernel.Now(),
-	}
+	r.rxBuf = newReception(tx, signal, r.kernel.Now(), false)
 	r.rx = &r.rxBuf
 	if r.medium.Interference(tx, r.id, r.cfg.Freq) > phy.Silent {
 		r.rx.collided = true
@@ -380,6 +405,13 @@ func (r *Radio) OffAir(tx *medium.Transmission) {
 
 // closeSegment integrates bit errors over the elapsed segment at the
 // current interference level and starts a new segment.
+//
+// A segment whose noise-plus-interference is at most rx.zeroMW has an SINR
+// of at least phy.ZeroBERSINR, where phy.BitErrorRate is exactly 0 and
+// RNG.Binomial returns 0 without a draw; it is charged 0 errors without
+// evaluating the chain. Every other segment takes the exact path. Both
+// read the same medium sum, so the fading draws happen either way and the
+// charged errors and RNG positions match the exact path bit for bit.
 func (r *Radio) closeSegment() {
 	now := r.kernel.Now()
 	elapsed := now - r.rx.segStart
@@ -393,10 +425,20 @@ func (r *Radio) closeSegment() {
 	if bits == 0 {
 		return
 	}
-	interf := r.medium.Interference(r.rx.tx, r.id, r.cfg.Freq)
+	r.segStats.Closed++
+	interfMW := r.medium.InterferenceMW(r.rx.tx, r.id, r.cfg.Freq)
+	if interfMW+phy.NoiseFloorMW <= r.rx.zeroMW {
+		r.segStats.CertifiedZero++
+		return
+	}
+	r.segStats.Exact++
+	interf := r.medium.Interference(r.rx.tx, r.id, r.cfg.Freq) // cache hit: FromMilliwatts(interfMW)
 	ber := phy.BitErrorRate(phy.SINR(r.rx.signal, interf))
 	r.rx.bitErrors += r.rng.Binomial(bits, ber)
 }
+
+// SegmentStats returns the radio's reception-segment counters.
+func (r *Radio) SegmentStats() SegmentStats { return r.segStats }
 
 func (r *Radio) finishRx() {
 	r.closeSegment()

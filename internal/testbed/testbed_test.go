@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"nonortho/internal/phy"
+	"nonortho/internal/radio"
 	"nonortho/internal/sim"
 	"nonortho/internal/topology"
 )
@@ -266,4 +267,26 @@ func TestFailureInjectionAdjustorReset(t *testing.T) {
 	if th := n.Senders[0].Radio.CCAThreshold(); th < phy.NoiseFloor+10 {
 		t.Errorf("threshold after re-init = %v, want re-converged", th)
 	}
+}
+
+func TestSegmentCountersAddUp(t *testing.T) {
+	// Every closed segment is charged exactly once, either by the
+	// zero-error certificate or through the exact SINR→BER chain, and the
+	// counts are a deterministic function of the seed.
+	run := func() radio.SegmentStats {
+		tb := benchCell(SchemeDCN)
+		tb.Run(2*time.Second, time.Second)
+		return segmentTotals(tb)
+	}
+	s := run()
+	if s.Closed != s.CertifiedZero+s.Exact {
+		t.Fatalf("closed %d != certified %d + exact %d", s.Closed, s.CertifiedZero, s.Exact)
+	}
+	if s.CertifiedZero == 0 || s.Exact == 0 {
+		t.Fatalf("segments %+v: the cell should exercise both paths", s)
+	}
+	if again := run(); again != s {
+		t.Fatalf("segment counters differ between identical runs: %+v vs %+v", s, again)
+	}
+	t.Logf("segments %+v: %.1f%% certified", s, 100*float64(s.CertifiedZero)/float64(s.Closed))
 }
