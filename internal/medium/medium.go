@@ -848,7 +848,8 @@ func (m *Medium) InterferenceMW(wanted *Transmission, listenerID int, freq phy.M
 }
 
 // fillInterf refills the listener's interference cache entry c from
-// interferenceDirect.
+// interferenceDirect. Interference and InterferenceMW each check the key
+// themselves, so a cache hit costs one call, as Interference's always has.
 func (m *Medium) fillInterf(c *interfCache, wanted *Transmission, listenerID int, freq phy.MHz) {
 	mw := m.interferenceDirect(wanted, listenerID, freq)
 	*c = interfCache{
