@@ -23,7 +23,7 @@ vet:
 	$(GO) vet ./...
 
 ## lint: the project-specific go/analysis suite (detsource, maporder,
-## dbmunits, confinedgo, resetcomplete, seedtaint, snapfreeze) with the
+## dbmunits, confinedgo, seedtaint, snapfreeze) with the
 ## interprocedural call-graph engine.
 ## Offline: stdlib-only driver.
 lint:

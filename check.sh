@@ -20,7 +20,7 @@ echo "== perfbench module: vet + test"
 # an API it uses that goes away would otherwise break only the benchmark.
 GOWORK=off go -C perfbench vet ./...
 GOWORK=off go -C perfbench test ./...
-echo "== dcnlint ./... (determinism, unit-safety, lifecycle + immutability analyzers)"
+echo "== dcnlint ./... (determinism, unit-safety, confinement + immutability analyzers)"
 go run ./cmd/dcnlint ./...
 if [ "${LINT_FULL:-0}" = "1" ]; then
 	# Pinned third-party analyzers, fetched with `go run pkg@version`.
@@ -59,11 +59,12 @@ require_tests ./internal/phy "$phy_exact"
 go test -count=1 -run "$phy_exact" ./internal/phy
 echo "== medium sensing oracle tests under -race"
 # The medium's correctness surface, run first and by name: the
-# brute-force sensing oracle, the spatial-exact bit-identity replay and
-# the folded-mode bounded-error oracle, then the kernel's own tests. A
-# sensing, spatial-tier or scheduler bug fails here in seconds instead of
-# somewhere inside the full suite below.
-medium_race='TestCachedSumsMatchBruteForce|TestSpatialExactChurnBitIdentical|TestFoldedChurnBoundedError'
+# brute-force sensing oracle, the spatial-exact bit-identity replay, the
+# folded-mode bounded-error oracle and the lock-on reachability decision
+# table, then the kernel's own tests. A sensing, spatial-tier, lock-on or
+# scheduler bug fails here in seconds instead of somewhere inside the
+# full suite below.
+medium_race='TestCachedSumsMatchBruteForce|TestSpatialExactChurnBitIdentical|TestFoldedChurnBoundedError|TestReachableDecisionTable'
 require_tests ./internal/medium "$medium_race"
 go test -race -count=1 -run "$medium_race" ./internal/medium
 go test -race -count=1 ./internal/sim

@@ -209,12 +209,9 @@ type record struct {
 
 // Adjustor drives one radio's CCA threshold.
 type Adjustor struct {
-	// The wiring trio survives Reset by design: Reset restarts the
-	// protocol (re-entering the Initializing Phase via Start) on the
-	// same kernel, radio and configuration it was built with.
-	kernel *sim.Kernel  //lint:keep Reset restarts the protocol, not the wiring
-	radio  *radio.Radio //lint:keep Reset restarts the protocol, not the wiring
-	cfg    Config       //lint:keep Reset restarts the protocol, not the wiring
+	kernel *sim.Kernel
+	radio  *radio.Radio
+	cfg    Config
 
 	// OnThreshold, when set, observes every threshold the Adjustor
 	// programs into the radio (instrumentation/tracing hook).
@@ -378,10 +375,6 @@ func (a *Adjustor) Stop() {
 	a.stopTimers()
 	a.phase = PhaseStopped
 }
-
-// Reset re-runs the Initializing Phase — used after a node rejoins the
-// network (failure recovery).
-func (a *Adjustor) Reset() { a.Start() }
 
 func (a *Adjustor) stopTimers() {
 	if a.sampler != nil {

@@ -307,7 +307,7 @@ func TestWindowMatchesLiveRecordsAndStaysBounded(t *testing.T) {
 	}
 }
 
-func TestResetReturnsToInit(t *testing.T) {
+func TestStartRestartsInitializing(t *testing.T) {
 	k, m := world(t)
 	r := newRadio(k, m, 1, 0, 2460)
 	a := New(k, r, Config{})
@@ -316,12 +316,13 @@ func TestResetReturnsToInit(t *testing.T) {
 	if a.Phase() != PhaseUpdating {
 		t.Fatal("not updating")
 	}
-	a.Reset()
+	// A rejoining node restarts the Initializing Phase (Section V).
+	a.Start()
 	if a.Phase() != PhaseInitializing {
-		t.Errorf("phase after Reset = %v, want initializing", a.Phase())
+		t.Errorf("phase after restart = %v, want initializing", a.Phase())
 	}
 	if got := r.CCAThreshold(); got != phy.DefaultCCAThreshold {
-		t.Errorf("threshold after Reset = %v, want fallback", got)
+		t.Errorf("threshold after restart = %v, want fallback", got)
 	}
 	k.RunUntil(sim.FromDuration(2500 * time.Millisecond))
 	if a.Phase() != PhaseUpdating {

@@ -13,8 +13,8 @@ import (
 // cells grant the medium's far-field fold. Under the default model a
 // certified-far transmitter is bounded by MaxTxPower − 150 dB; even
 // 50,000 of them aggregate to well under half a dB above the noise floor
-// (medium.WithFarField enforces this at Reset — a budget the snapshot
-// cannot honour panics instead of degrading silently).
+// (medium.New enforces this when it applies medium.WithFarField — a
+// budget the snapshot cannot honour panics instead of degrading silently).
 const cityFarFieldBudgetDB = 0.5
 
 // cityPeriod spaces each sender's transmissions. City cells exist to

@@ -158,7 +158,7 @@ func wifiPairThroughput(seed int64, sep int, opts Options) float64 {
 		medium.WithRejection(net80211.OverlapCurve{}),
 		medium.WithFadingSigma(1),
 		medium.WithStaticFadingSigma(0),
-		medium.WithLossProvider(wifiPairSnap()))
+		medium.WithSnapshot(wifiPairSnap()))
 	sndA := net80211.NewStation(k, m, "a.tx", phy.Position{X: 0, Y: 0}, 1, 0)
 	rcvA := net80211.NewStation(k, m, "a.rx", phy.Position{X: 1, Y: 0}, 1, 0)
 	rcvA.WatchSrc = 0 // count only link A's own packets

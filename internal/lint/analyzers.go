@@ -7,7 +7,6 @@ func All() []*Analyzer {
 		Dbmunits,
 		Detsource,
 		Maporder,
-		Resetcomplete,
 		Seedtaint,
 		Snapfreeze,
 	}

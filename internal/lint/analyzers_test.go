@@ -30,10 +30,6 @@ func TestConfinedgo(t *testing.T) {
 		"internal/watchdog", "internal/store")
 }
 
-func TestResetcomplete(t *testing.T) {
-	linttest.Run(t, lint.Resetcomplete, "resetcpl")
-}
-
 func TestSeedtaint(t *testing.T) {
 	linttest.Run(t, lint.Seedtaint, "internal/seedt", "internal/sim")
 }
@@ -59,7 +55,7 @@ func TestSnapfreeze(t *testing.T) {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"confinedgo", "dbmunits", "detsource", "maporder",
-		"resetcomplete", "seedtaint", "snapfreeze",
+		"seedtaint", "snapfreeze",
 	}
 	all := lint.All()
 	if len(all) != len(want) {

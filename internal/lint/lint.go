@@ -5,7 +5,6 @@
 // (detsource), no order-dependent work inside map iteration (maporder),
 // no mixing of dBm and milliwatt quantities in arithmetic (dbmunits),
 // concurrency confined to internal/parallel (confinedgo),
-// constructor/Reset parity for every resettable type (resetcomplete),
 // every RNG seeded from the cell's (config, seed) tuple (seedtaint), and
 // topology.Snapshot immutability after construction (snapfreeze).
 //
@@ -40,10 +39,7 @@
 // nothing. An interprocedural finding is suppressed at the call site it
 // is reported at, and its reason must name the sink being waived
 // (time.Now, rand.NewSource, NearRow, ...) so annotations state
-// what they exempt. resetcomplete additionally honours a field-level annotation:
-// a struct field whose declaration carries a "//lint:keep <reason>"
-// comment is deliberately retained across Reset and exempt from the
-// constructor/reset parity check.
+// what they exempt.
 package lint
 
 import (

@@ -16,7 +16,6 @@
 package linttest
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"path/filepath"
@@ -151,14 +150,4 @@ func splitQuoted(s string) []string {
 		out = append(out, rest[:end+1])
 		s = rest[end+1:]
 	}
-}
-
-// Fprint is a debugging helper: it renders diagnostics the way the
-// dcnlint driver does, for fixture authoring.
-func Fprint(diags []lint.Diagnostic) string {
-	var b strings.Builder
-	for _, d := range diags {
-		fmt.Fprintln(&b, d)
-	}
-	return b.String()
 }

@@ -243,8 +243,8 @@ func checkRowAliases(pass *Pass, fd *ast.FuncDecl) {
 	})
 }
 
-// isNearRowCall matches any method named NearRow — the Snapshot
-// accessor and the medium.LossProvider interface it satisfies.
+// isNearRowCall matches any method named NearRow: topology.Snapshot's
+// row accessor.
 func isNearRowCall(info *types.Info, call *ast.CallExpr) bool {
 	fn, ok := calleeObj(info, call).(*types.Func)
 	if !ok || fn.Name() != "NearRow" {

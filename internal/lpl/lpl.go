@@ -175,9 +175,6 @@ func (s *Sender) Radio() *radio.Radio { return s.radio }
 // Sent counts completed data transmissions.
 func (s *Sender) Sent() int { return s.sent }
 
-// Busy reports whether a strobe train is in progress.
-func (s *Sender) Busy() bool { return s.busy }
-
 // Send strobes for one check interval plus margin and then transmits the
 // payload to dst. Returns false when a send is already in progress.
 func (s *Sender) Send(dst frame.Address, payload []byte) bool {

@@ -168,7 +168,7 @@ func cityBenchSetup(b *testing.B) (*sim.Kernel, *Medium, []int, []*bandedProbe) 
 		b.Fatal(err)
 	}
 	k := sim.NewKernel(1)
-	m := New(k, WithLossProvider(snap), WithFarField(0.5))
+	m := New(k, WithSnapshot(snap), WithFarField(0.5))
 	ids := make([]int, 0, snap.NumNodes())
 	probes := make([]*bandedProbe, 0, snap.NumNodes())
 	for _, net := range nets {

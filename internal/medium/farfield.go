@@ -9,11 +9,11 @@ import (
 )
 
 // This file is the medium half of the spatial tier: far-field aggregation
-// over a near-field topology snapshot. The LossProvider certifies a loss
-// floor for every node pair it deliberately omits; the medium uses that
+// over a near-field topology snapshot. The snapshot certifies a loss floor
+// for every node pair it deliberately omits; the medium uses that
 // certificate two ways:
 //
-//   - Culling (always on when a provider is installed, exact): the
+//   - Culling (always on when a snapshot is installed, exact): the
 //     reachable-power predicate can rule a far pair out from the floor
 //     alone, and falls back to computing the exact model loss when the
 //     floor is inconclusive — so lock-on decisions are bit-identical to
@@ -29,10 +29,26 @@ import (
 // The budget is exact by default (no budget ⇒ no folding, bit-identical
 // sums), and an opt-in bound that New enforces by panicking when the
 // worst-case fold error exceeds it.
+//
+// Why the fold, and its second link-row layout (rank rows, spill map,
+// farBacked), is kept: it pays for itself at city scale. On the perfbench
+// city-1k workload (1,000 nodes, 0.5 dB budget against the same cell run
+// exact), 10 alternating 30 s pairs on a 2-vCPU Xeon VM (go1.24, amd64),
+// every run correct with no failed operation:
+//
+//	                    folded    exact
+//	sim_s_per_wall_s      1.43     1.03   (fold faster in 10 of 10 pairs)
+//	slice_ms_p50           461      619
+//	live_heap_mb          30.5     73.4   (dense O(n²) link rows)
+//
+// BenchmarkSensedPower5kNodes does not separate the two (median 16.9 ns/op
+// folded against 15.7 exact, fold faster in 5 of 10 pairs): its small
+// CCA working set is served from the epoch cache either way. The saving
+// is in link-row memory and in the cache-missing sums of a full cell.
 
 // WithFarField enables far-field folding with the given error budget in dB:
 // the maximum amount the aggregate far-field term may lift any listener's
-// sensed noise floor. New panics unless a loss provider is installed whose
+// sensed noise floor. New panics unless a topology snapshot is installed whose
 // certified floor keeps the worst-case fold error —
 // 10·log10(1 + maxFarCount·unit/noise), unit the fade-free in-channel power
 // of one maximum-power transmitter at exactly the floor loss — within the
@@ -66,7 +82,7 @@ func foldErrorDB(maxFarCount int, unitMW float64) float64 {
 
 // resolveFarField derives the spatial-tier state from the freshly applied
 // options; New calls it once so the hot paths never re-inspect
-// the provider. Budget violations panic — misconfiguration is a
+// the snapshot. Budget violations panic — misconfiguration is a
 // programming error.
 func (m *Medium) resolveFarField() {
 	if m.farBudgetDB == 0 {
@@ -75,10 +91,10 @@ func (m *Medium) resolveFarField() {
 	if m.farBudgetDB < 0 {
 		panic(fmt.Sprintf("medium: negative far-field error budget %g dB", m.farBudgetDB))
 	}
-	if m.lossProvider == nil {
-		panic("medium: WithFarField needs a loss provider (a topology snapshot)")
+	if m.snap == nil {
+		panic("medium: WithFarField needs a topology snapshot (WithSnapshot)")
 	}
-	bound, maxFar := m.lossProvider.FarField()
+	bound, maxFar := m.snap.FarField()
 	unitMW := (phy.MaxTxPower - phy.DBm(bound)).Milliwatts()
 	if errDB := foldErrorDB(maxFar, unitMW); errDB > m.farBudgetDB {
 		panic(fmt.Sprintf("medium: far-field fold error %.3f dB exceeds the %.3f dB budget (loss bound %.1f dB, %d far sources); raise the snapshot's loss bound or the budget",
@@ -87,7 +103,7 @@ func (m *Medium) resolveFarField() {
 	m.spatial = true
 	m.farUnitMW = unitMW
 	m.farMaxCount = maxFar
-	m.farN = m.lossProvider.NumNodes()
+	m.farN = m.snap.NumNodes()
 	m.spill = make(map[int64]*linkSlot)
 }
 
@@ -95,7 +111,7 @@ func (m *Medium) resolveFarField() {
 // listener in milliwatts: one fade-free maximum-power transmission at the
 // floor loss per far source.
 func (m *Medium) farFoldMW(listenerID int) float64 {
-	near, _ := m.lossProvider.NearRow(listenerID)
+	near, _ := m.snap.NearRow(listenerID)
 	return float64(m.farN-len(near)) * m.farUnitMW
 }
 
@@ -109,7 +125,7 @@ func (m *Medium) trackActive(tx *Transmission) {
 	}
 	m.bySrc[tx.Src] = append(m.bySrc[tx.Src], tx)
 	tx.farBounded = tx.Bandwidth == 0 && tx.Power <= phy.MaxTxPower &&
-		m.lossProvider.Backed(tx.Src, tx.Pos)
+		m.snap.Backed(tx.Src, tx.Pos)
 	if !tx.farBounded {
 		m.unbounded = append(m.unbounded, tx)
 	}
@@ -147,7 +163,7 @@ func removeTx(s []*Transmission, tx *Transmission) []*Transmission {
 // farFoldMW. The scratch slice is reused across calls.
 func (m *Medium) nearActive(listenerID int) []*Transmission {
 	s := m.nearScratch[:0]
-	near, _ := m.lossProvider.NearRow(listenerID)
+	near, _ := m.snap.NearRow(listenerID)
 	for _, src := range near {
 		if int(src) < len(m.bySrc) {
 			s = append(s, m.bySrc[src]...)
@@ -191,7 +207,7 @@ func (m *Medium) folded(listenerID int) bool {
 // probed directly) spills to a keyed map.
 func (m *Medium) spatialSlot(listenerID, src int) *linkSlot {
 	if listenerID < len(m.farBacked) && m.farBacked[listenerID] {
-		near, _ := m.lossProvider.NearRow(listenerID)
+		near, _ := m.snap.NearRow(listenerID)
 		if r := rankOf(near, int32(src)); r >= 0 {
 			return &m.spatialRow(listenerID, len(near))[r]
 		}

@@ -57,11 +57,11 @@ func TestFarFieldBudgetContract(t *testing.T) {
 
 	t.Run("negative budget panics", func(t *testing.T) {
 		mustPanic(t, "negative far-field error budget", func() {
-			New(sim.NewKernel(1), WithLossProvider(sparse), WithFarField(-1))
+			New(sim.NewKernel(1), WithSnapshot(sparse), WithFarField(-1))
 		})
 	})
 	t.Run("no provider panics", func(t *testing.T) {
-		mustPanic(t, "needs a loss provider", func() {
+		mustPanic(t, "needs a topology snapshot", func() {
 			New(sim.NewKernel(1), WithFarField(1))
 		})
 	})
@@ -69,23 +69,23 @@ func TestFarFieldBudgetContract(t *testing.T) {
 		// At bound 95 dB the worst-case fold error over 9 far sources is
 		// ~10·log10(1+9·10^-9.5/10^-10) ≈ 14.7 dB — far over a 1 dB budget.
 		mustPanic(t, "exceeds the", func() {
-			New(sim.NewKernel(1), WithLossProvider(sparse), WithFarField(1))
+			New(sim.NewKernel(1), WithSnapshot(sparse), WithFarField(1))
 		})
 	})
 	t.Run("zero budget means exact", func(t *testing.T) {
-		m := New(sim.NewKernel(1), WithLossProvider(sparse))
+		m := New(sim.NewKernel(1), WithSnapshot(sparse))
 		if got := m.FarFieldErrorDB(); got != 0 {
 			t.Fatalf("FarFieldErrorDB() = %v without a budget, want 0", got)
 		}
 		if m.spatial {
 			t.Fatal("medium folded without a budget")
 		}
-		if m.lossProvider == nil {
-			t.Fatal("exact mode lost the loss provider: the far-pair cull certificate is gone")
+		if m.snap == nil {
+			t.Fatal("exact mode lost the snapshot: the far-pair cull certificate is gone")
 		}
 	})
 	t.Run("honoured budget reports its error", func(t *testing.T) {
-		m := New(sim.NewKernel(1), WithLossProvider(sparse), WithFarField(15))
+		m := New(sim.NewKernel(1), WithSnapshot(sparse), WithFarField(15))
 		_, maxFar := sparse.FarField()
 		unit := (phy.MaxTxPower - phy.DBm(95)).Milliwatts()
 		want := 10 * math.Log10(1+float64(maxFar)*unit/phy.NoiseFloorMW)
@@ -102,7 +102,7 @@ func TestFarFieldBudgetContract(t *testing.T) {
 func TestFoldedUnbackedFallbacks(t *testing.T) {
 	snap := farTestSnapshot(t, 10, 40, 95)
 	k := sim.NewKernel(1)
-	m := New(k, WithLossProvider(snap), WithFarField(15),
+	m := New(k, WithSnapshot(snap), WithFarField(15),
 		WithFadingSigma(0), WithStaticFadingSigma(0))
 
 	probes := make([]*probe, 10)

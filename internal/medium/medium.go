@@ -9,6 +9,7 @@ import (
 	"nonortho/internal/frame"
 	"nonortho/internal/phy"
 	"nonortho/internal/sim"
+	"nonortho/internal/topology"
 )
 
 // Listener is anything attached to the medium — typically a radio. The
@@ -100,53 +101,26 @@ func WithStaticFadingSigma(sigma float64) Option {
 	return func(md *Medium) { md.staticSigma = sigma }
 }
 
-// LossProvider supplies precomputed path loss for (src, listener) attach-ID
-// pairs — a topology snapshot built once and shared read-only across
-// simulation cells. It stores the pairs within a loss bound and certifies
-// a floor for the rest. All methods are read-only and mutually
-// consistent: a pair is either near (PairLoss answers, and the source
-// appears in the listener's NearRow) or certified far (PairLossFloor
-// answers) — never both.
-type LossProvider interface {
-	// PairLoss returns the bit-identical value the medium's own path-loss
-	// model would compute for the given positions, or ok=false when the
-	// pair is far or the positions no longer match the geometry the
-	// provider was built from (late-attached nodes); the medium then
-	// falls back to computing the loss itself.
-	PairLoss(src, listener int, from, to phy.Position) (loss float64, ok bool)
-	// PairLossFloor returns a floor every certified-far pair's true loss
-	// provably reaches, with ok=false for near pairs or unmatched geometry.
-	PairLossFloor(src, listener int, from, to phy.Position) (floor float64, ok bool)
-	// NearRow returns the ascending node IDs within the near-field bound
-	// of the given node (including itself) and their exact pair losses.
-	// Rows are symmetric views into shared storage — read-only.
-	NearRow(node int) (ids []int32, loss []float64)
-	// Backed reports whether the node is captured at exactly this position.
-	Backed(id int, pos phy.Position) bool
-	// FarField reports the certified loss floor and the worst per-listener
-	// far-source count.
-	FarField() (lossBoundDB float64, maxFarCount int)
-	// NumNodes reports the captured population.
-	NumNodes() int
-}
-
-// WithLossProvider installs a precomputed path-loss source consulted before
-// the medium's own model when a link budget is (re)computed.
-func WithLossProvider(p LossProvider) Option {
-	return func(md *Medium) { md.lossProvider = p }
+// WithSnapshot installs a precomputed topology snapshot, built once and
+// shared read-only across simulation cells. Its near-pair losses are
+// consulted before the medium's own model when a link budget is computed,
+// and its certified floor for the omitted pairs backs the reachable-power
+// cull and the far-field fold (farfield.go).
+func WithSnapshot(snap *topology.Snapshot) Option {
+	return func(md *Medium) { md.snap = snap }
 }
 
 // Medium is the shared channel. Not safe for concurrent use: the simulation
 // is single-threaded by design.
 type Medium struct {
-	kernel       *sim.Kernel
-	pathLoss     phy.PathLossModel
-	rejection    phy.RejectionCurve
-	lossProvider LossProvider
-	fadingSigma  float64
-	staticSigma  float64
-	fadingRNG    *sim.RNG
-	staticRNG    *sim.RNG
+	kernel      *sim.Kernel
+	pathLoss    phy.PathLossModel
+	rejection   phy.RejectionCurve
+	snap        *topology.Snapshot
+	fadingSigma float64
+	staticSigma float64
+	fadingRNG   *sim.RNG
+	staticRNG   *sim.RNG
 
 	listeners []Listener
 	// active holds the in-flight transmissions. finish removes by
@@ -282,9 +256,6 @@ func New(k *sim.Kernel, opts ...Option) *Medium {
 	return m
 }
 
-// Rejection exposes the curve so radios share the exact same filter model.
-func (m *Medium) Rejection() phy.RejectionCurve { return m.rejection }
-
 // Attach registers a listener and returns its medium ID. From then on the
 // listener receives every OnAir/OffAir event until it detaches.
 func (m *Medium) Attach(l Listener) int {
@@ -293,7 +264,7 @@ func (m *Medium) Attach(l Listener) int {
 	m.rows = append(m.rows, nil)
 	id := len(m.listeners) - 1
 	if m.spatial {
-		m.farBacked = append(m.farBacked, m.lossProvider.Backed(id, l.Position()))
+		m.farBacked = append(m.farBacked, m.snap.Backed(id, l.Position()))
 	}
 	return id
 }
@@ -523,13 +494,13 @@ func (m *Medium) link(src, listenerID int, from, to phy.Position) *linkSlot {
 	return s
 }
 
-// lookupLoss resolves the pair's path loss: from the installed provider's
-// precomputed matrix when the pair and geometry match, else from the
-// medium's own model. Providers guarantee bit-identical values for matched
-// pairs, so the two sources are interchangeable.
+// lookupLoss resolves the pair's path loss: from the installed snapshot
+// when the pair is near and the geometry matches, else from the medium's
+// own model. The snapshot stores bit-identical values for matched pairs,
+// so the two sources are interchangeable.
 func (m *Medium) lookupLoss(src, listenerID int, from, to phy.Position) float64 {
-	if m.lossProvider != nil {
-		if loss, ok := m.lossProvider.PairLoss(src, listenerID, from, to); ok {
+	if m.snap != nil {
+		if loss, ok := m.snap.PairLoss(src, listenerID, from, to); ok {
 			return loss
 		}
 	}
@@ -582,7 +553,7 @@ func (m *Medium) fade(tx *Transmission, listenerID int) float64 {
 // expression the snapshot stores for near pairs — is computed, so the
 // answer does not depend on where the snapshot's bound lies.
 func (m *Medium) Reachable(tx *Transmission, listenerID int) bool {
-	if listenerID < 0 || listenerID >= len(m.listeners) || m.lossProvider == nil {
+	if listenerID < 0 || listenerID >= len(m.listeners) || m.snap == nil {
 		return true // unknown ID, or no precomputed losses to prove anything with
 	}
 	power := phy.MaxTxPower
@@ -598,9 +569,9 @@ func (m *Medium) Reachable(tx *Transmission, listenerID int) bool {
 	if l == nil {
 		return true // detached: it hears nothing anyway
 	}
-	loss, ok := m.lossProvider.PairLoss(tx.Src, listenerID, tx.Pos, l.Position())
+	loss, ok := m.snap.PairLoss(tx.Src, listenerID, tx.Pos, l.Position())
 	if !ok {
-		bound, okf := m.lossProvider.PairLossFloor(tx.Src, listenerID, tx.Pos, l.Position())
+		bound, okf := m.snap.PairLossFloor(tx.Src, listenerID, tx.Pos, l.Position())
 		if !okf {
 			return true // outside the snapshot geometry: no proof
 		}

@@ -20,7 +20,7 @@ import (
 // callbacks and sums per-transmission powers through the public
 // InChannelPower/RxPower accessors in ID order — it never touches the
 // medium's active slice, epoch counter, or sum caches. The same churn runs
-// against a dense medium, a near-field snapshot provider in exact mode
+// against a dense medium, a near-field snapshot in exact mode
 // (bit-identical by construction), and the far-field fold (bounded
 // one-sided error).
 
@@ -50,7 +50,7 @@ type oracleConfig struct {
 	// bit-identity comparisons.
 	record *[]phy.DBm
 	// nearBound, when positive, installs a near-field topology snapshot
-	// with this loss bound as the medium's loss provider. The field is
+	// with this loss bound on the medium (WithSnapshot). The field is
 	// sized so a small bound certifies many pairs far.
 	nearBound float64
 	// farBudget, when positive, additionally enables the far-field fold
@@ -81,7 +81,7 @@ func TestCachedSumsMatchBruteForce(t *testing.T) {
 }
 
 // TestSpatialExactChurnBitIdentical replays the churn with and without a
-// near-field snapshot provider in exact mode (no error budget) and
+// near-field snapshot in exact mode (no error budget) and
 // requires bit-identical sample histories: materialised near losses are
 // computed with the medium's own expression, certified-far pairs fall back
 // to the exact model, so the spatial tier in exact mode must be
@@ -158,7 +158,7 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mopts = append(mopts, WithLossProvider(snap))
+		mopts = append(mopts, WithSnapshot(snap))
 		if cfg.farBudget > 0 {
 			mopts = append(mopts, WithFarField(cfg.farBudget))
 			farUnitMW = (phy.MaxTxPower - phy.DBm(cfg.nearBound)).Milliwatts()

@@ -108,8 +108,7 @@ type Station struct {
 	// Sent counts transmissions put on the air.
 	Sent int
 
-	saturated bool
-	payload   int
+	payload int
 }
 
 // NewStation attaches a station to the medium on the given Wi-Fi channel.
@@ -133,26 +132,16 @@ func (s *Station) Position() phy.Position { return s.pos }
 // StartSaturated begins an endless saturated DCF transmit loop of frames
 // with the given payload size.
 func (s *Station) StartSaturated(payload int) {
-	s.saturated = true
 	s.payload = payload
 	s.scheduleAttempt()
 }
 
-// StopSaturated halts the transmit loop after the current attempt.
-func (s *Station) StopSaturated() { s.saturated = false }
-
 func (s *Station) scheduleAttempt() {
-	if !s.saturated {
-		return
-	}
 	backoff := DIFS + time.Duration(s.rng.Intn(CW+1))*SlotTime
 	s.kernel.After(backoff, s.attempt)
 }
 
 func (s *Station) attempt() {
-	if !s.saturated {
-		return
-	}
 	// DCF energy-detect carrier sense on our own channel: overlapping
 	// foreign energy above CSThreshold defers us, co-channel obviously too.
 	if s.medium.SensedPower(s.id, s.freq, nil) > CSThreshold || s.transmitting {

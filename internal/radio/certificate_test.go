@@ -217,7 +217,7 @@ func replayWorld(t *testing.T, seed int64, nodes []replayNode, folded bool) (*si
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := medium.New(k, medium.WithLossProvider(snap), medium.WithFarField(30))
+	m := medium.New(k, medium.WithSnapshot(snap), medium.WithFarField(30))
 	if m.FarFieldErrorDB() <= 0 {
 		t.Fatal("far-field fold inactive: no pair beyond the near bound")
 	}

@@ -75,9 +75,9 @@ type Options struct {
 	// 48 dB @ 1 m, exponent 3.5).
 	PathLoss phy.PathLossModel
 	// Topology, when set, is the immutable shared snapshot the cell was
-	// built from: its precomputed path-loss matrix is installed on the
-	// medium so pairwise losses come from a read-only lookup instead of
-	// being recomputed per cell. When PathLoss is unset the snapshot's
+	// built from. It is installed on the medium (medium.WithSnapshot) so
+	// pairwise losses come from a read-only lookup instead of being
+	// recomputed per cell. When PathLoss is unset the snapshot's
 	// model becomes the medium's model; when both are set they must
 	// describe the same propagation or the snapshot is ignored.
 	Topology *topology.Snapshot
@@ -87,7 +87,8 @@ type Options struct {
 	// instead, with at most this many dB of sensed-power error (enforced —
 	// the medium panics when the snapshot's loss bound cannot honour the
 	// budget; see medium.WithFarField). Zero keeps sums exact. Requires a
-	// near-field Topology whose model is in force.
+	// near-field Topology whose model is in force, so that New installs it
+	// with medium.WithSnapshot.
 	FarFieldBudget float64
 	// Budget bounds the kernel work this testbed's cell may do (fired
 	// events and/or virtual time). The zero value is unlimited. A cell
@@ -219,7 +220,7 @@ func New(opts Options) *Testbed {
 	// The snapshot's matrix is only valid under the model it was computed
 	// with; a conflicting explicit PathLoss wins and the matrix is skipped.
 	if opts.Topology != nil && opts.PathLoss == opts.Topology.Model() {
-		mopts = append(mopts, medium.WithLossProvider(opts.Topology))
+		mopts = append(mopts, medium.WithSnapshot(opts.Topology))
 		if opts.FarFieldBudget > 0 {
 			mopts = append(mopts, medium.WithFarField(opts.FarFieldBudget))
 		}

@@ -247,7 +247,7 @@ func TestFailureInjectionSenderDies(t *testing.T) {
 	}
 }
 
-func TestFailureInjectionAdjustorReset(t *testing.T) {
+func TestFailureInjectionAdjustorRestart(t *testing.T) {
 	tb := New(Options{Seed: 10})
 	n := tb.AddNetwork(singleNetworkSpec(t, 2460, 4), NetworkConfig{Scheme: SchemeDCN})
 	tb.Run(2*time.Second, time.Second)
@@ -256,9 +256,9 @@ func TestFailureInjectionAdjustorReset(t *testing.T) {
 		t.Fatalf("phase = %v, want updating", adj.Phase())
 	}
 	// Node reboots: adjustor re-initializes and converges again.
-	adj.Reset()
+	adj.Start()
 	if adj.Phase().String() != "initializing" {
-		t.Fatalf("phase after reset = %v", adj.Phase())
+		t.Fatalf("phase after restart = %v", adj.Phase())
 	}
 	tb.Run(0, 2*time.Second)
 	if adj.Phase().String() != "updating" {

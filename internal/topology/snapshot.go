@@ -14,7 +14,7 @@ import (
 // (configuration, seed) before fanning simulation cells across the worker
 // pool, so every cell that reuses the configuration shares the same
 // placements and geometry read-only instead of regenerating them — and the
-// medium, via the LossProvider hook, skips recomputing per-pair path loss
+// medium, via medium.WithSnapshot, skips recomputing per-pair path loss
 // during cell setup and link-cache fills.
 //
 // Node indices follow testbed attach order: for each network in turn, the
@@ -121,7 +121,7 @@ func (s *Snapshot) NumNodes() int { return s.n }
 // Model returns the path-loss model the losses were computed under.
 func (s *Snapshot) Model() phy.PathLossModel { return s.model }
 
-// PairLoss implements the medium's LossProvider: it returns the precomputed
+// PairLoss serves the medium's link-budget lookups: it returns the precomputed
 // loss for the (src, listener) attach-ID pair when both indices are inside
 // the snapshot and both positions still match the captured geometry. The
 // position check makes the lookup self-verifying — a mismatched node (late

@@ -222,9 +222,6 @@ func (nw *Network) AddNode(m *medium.Medium, addr frame.Address, pos phy.Positio
 // Node returns the node with the given address (nil if absent).
 func (nw *Network) Node(addr frame.Address) *Node { return nw.nodes[addr] }
 
-// ASN reports the current absolute slot number.
-func (nw *Network) ASN() int64 { return nw.asn }
-
 // Start begins executing the slotframe from the current instant.
 func (nw *Network) Start() {
 	if nw.running {
