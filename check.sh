@@ -51,10 +51,12 @@ echo "== phy BER exactness"
 # underflows to 0. These tests are its portable guard (the golden
 # manifest is recorded on amd64 only): bit-identity against the full
 # reference sum over −30…80 dB, the math.Exp zero-floor premise the
-# early exit rests on, and the exact-zero BER from phy.ZeroBERSINR up
-# that the radio's zero-error certificate rests on, checked on whatever
+# early exit rests on, the exact-zero BER from phy.ZeroBERSINR up that
+# the radio's zero-error certificate rests on, the (0, 2⁻⁸⁰] BER of the
+# radio's tiny-BER band, and pow10's bit identity with math.Pow (the
+# dBm→mW conversion and the BER's linear SINR), checked on whatever
 # GOARCH runs this gate.
-phy_exact='TestBitErrorRateMatchesReference|TestExpZeroFloorIsMonotone|TestZeroBERSINRPremise'
+phy_exact='TestBitErrorRateMatchesReference|TestExpZeroFloorIsMonotone|TestZeroBERSINRPremise|TestTinyBERBandPremise|TestPow10MatchesMathPow'
 require_tests ./internal/phy "$phy_exact"
 go test -count=1 -run "$phy_exact" ./internal/phy
 echo "== medium sensing oracle tests under -race"
@@ -88,7 +90,7 @@ go test -race -timeout 1800s ./...
 echo "== bench smoke (1 iteration)"
 go run ./cmd/dcnbench -bench 'KernelScheduleCancel|SensedPowerDense|OnAirFanout$' \
 	-benchtime 1x -pkgs ./internal/sim,./internal/medium -out /dev/null
-go run ./cmd/dcnbench -bench 'BitErrorRate' \
+go run ./cmd/dcnbench -bench 'BitErrorRate|Milliwatts' \
 	-benchtime 1x -pkgs ./internal/phy -out /dev/null
 go run ./cmd/dcnbench -bench 'CellSetup' \
 	-benchtime 1x -pkgs ./internal/testbed -out /dev/null

@@ -193,10 +193,11 @@ type sumCache struct {
 }
 
 // interfCache is the Interference variant, additionally keyed by the wanted
-// transmission being excluded from the sum. It keeps the raw milliwatt sum
-// (far-field term included) beside its dBm value: Interference and
+// transmission being excluded from the sum. A fill stores the raw
+// milliwatt sum (far-field term included); its dBm value is converted on
+// the first Interference read and kept beside it. Interference and
 // InterferenceMW share one fill, and a receiver that only needs the mW
-// sum to bound its SINR reads it without a dBm round trip.
+// sum to bound its SINR never pays the conversion.
 type interfCache struct {
 	freq   phy.MHz
 	wanted uint64
@@ -204,6 +205,7 @@ type interfCache struct {
 	mw     float64
 	dbm    phy.DBm
 	valid  bool
+	hasDBm bool // dbm == phy.FromMilliwatts(mw)
 }
 
 // listenerSums carries one listener's cached sensing sums.
@@ -804,6 +806,9 @@ func (m *Medium) Interference(wanted *Transmission, listenerID int, freq phy.MHz
 	if !c.valid || c.epoch != m.epoch || c.freq != freq || c.wanted != wanted.ID {
 		m.fillInterf(c, wanted, listenerID, freq)
 	}
+	if !c.hasDBm {
+		c.dbm, c.hasDBm = phy.FromMilliwatts(c.mw), true
+	}
 	return c.dbm
 }
 
@@ -822,13 +827,11 @@ func (m *Medium) InterferenceMW(wanted *Transmission, listenerID int, freq phy.M
 // interferenceDirect. Interference and InterferenceMW each check the key
 // themselves, so a cache hit costs one call, as Interference's always has.
 func (m *Medium) fillInterf(c *interfCache, wanted *Transmission, listenerID int, freq phy.MHz) {
-	mw := m.interferenceDirect(wanted, listenerID, freq)
 	*c = interfCache{
 		freq:   freq,
 		wanted: wanted.ID,
 		epoch:  m.epoch,
-		mw:     mw,
-		dbm:    phy.FromMilliwatts(mw),
+		mw:     m.interferenceDirect(wanted, listenerID, freq),
 		valid:  true,
 	}
 }

@@ -1,6 +1,9 @@
 package phy
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func BenchmarkBitErrorRate(b *testing.B) {
 	s := 0.0
@@ -50,6 +53,26 @@ func BenchmarkPathLoss(b *testing.B) {
 	s := 0.0
 	for i := 0; i < b.N; i++ {
 		s += m.Loss(float64(i%10) + 0.5)
+	}
+	_ = s
+}
+
+// BenchmarkMilliwatts converts dBm levels across a radio's working range,
+// the conversion every link power and SINR bound goes through.
+func BenchmarkMilliwatts(b *testing.B) {
+	s := 0.0
+	for i := 0; i < b.N; i++ {
+		s += DBm(float64(i%1000)/10 - 100).Milliwatts()
+	}
+	_ = s
+}
+
+// BenchmarkMathPow10 is BenchmarkMilliwatts through math.Pow, the
+// reference pow10 reproduces.
+func BenchmarkMathPow10(b *testing.B) {
+	s := 0.0
+	for i := 0; i < b.N; i++ {
+		s += math.Pow(10, (float64(i%1000)/10-100)/10)
 	}
 	_ = s
 }

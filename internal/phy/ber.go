@@ -21,7 +21,7 @@ const ImplementationLoss = 3.5
 // The curve has the characteristic DSSS cliff: a few dB separate
 // near-perfect reception from total loss.
 func BitErrorRate(sinrDB float64) float64 {
-	gamma := math.Pow(10, (sinrDB-ImplementationLoss)/10)
+	gamma := pow10((sinrDB - ImplementationLoss) / 10)
 	g := 20 * gamma
 	sum := 0.0
 	for k := 2; k <= 16; k++ {
@@ -84,3 +84,18 @@ const CliffSINR = 2.5
 // SINR it can bound above this level, which cannot change any draw:
 // sim.RNG.Binomial(n, 0) returns 0 without consuming randomness.
 const ZeroBERSINR = 22.3
+
+// TinyBERMax, TinyBERLoSINR and TinyBERHiSINR delimit the radio's
+// tiny-BER band: at every SINR in [TinyBERLoSINR, TinyBERHiSINR] dB,
+// BitErrorRate lies in (0, TinyBERMax]. It first drops below 2⁻⁸⁰ near
+// 11.046 dB and is last non-zero near 22.2223 dB; the band sits inside
+// both. TestTinyBERBandPremise checks the premise on the running GOARCH.
+// Within the band no draw can tell the BER from TinyBERMax:
+// sim.RNG.Binomial(n, p) returns the same count and consumes the same
+// draws for every p in (0, 2⁻⁸⁰], so the radio charges such a segment
+// Binomial(n, TinyBERMax) without evaluating the SINR or the BER.
+const (
+	TinyBERMax    = 0x1p-80
+	TinyBERLoSINR = 11.5
+	TinyBERHiSINR = 21.9
+)

@@ -141,6 +141,33 @@ func TestZeroBERSINRPremise(t *testing.T) {
 	}
 }
 
+// TestTinyBERBandPremise checks the premise of the radio's tiny-BER band
+// on the running GOARCH: BitErrorRate lies in (0, TinyBERMax] at every
+// SINR from TinyBERLoSINR to TinyBERHiSINR.
+func TestTinyBERBandPremise(t *testing.T) {
+	tiny := func(s float64) {
+		t.Helper()
+		if ber := BitErrorRate(s); !(ber > 0 && ber <= TinyBERMax) {
+			t.Fatalf("BitErrorRate(%v) = %v, want in (0, %v]", s, ber, TinyBERMax)
+		}
+	}
+	// TinyBERLoSINR…TinyBERHiSINR in 1e-5 dB steps with both float64
+	// neighbours, the band edges included.
+	const lo, hi, step = TinyBERLoSINR, TinyBERHiSINR, 1e-5
+	n := int(math.Round((hi - lo) / step))
+	tiny(lo)
+	tiny(math.Nextafter(lo, math.Inf(1)))
+	for i := 1; i < n; i++ {
+		s := lo + float64(i)*step
+		tiny(math.Nextafter(s, math.Inf(-1)))
+		tiny(s)
+		tiny(math.Nextafter(s, math.Inf(1)))
+	}
+	tiny(math.Nextafter(hi, math.Inf(-1)))
+	tiny(hi)
+	t.Logf("BER %.3g at %v dB, %.3g at %v dB", BitErrorRate(lo), lo, BitErrorRate(hi), hi)
+}
+
 func TestBitErrorRateMonotoneDecreasing(t *testing.T) {
 	prev := 1.0
 	for sinr := -10.0; sinr <= 15; sinr += 0.25 {

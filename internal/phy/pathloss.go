@@ -68,7 +68,7 @@ func (m *LogDistance) Loss(d float64) float64 {
 // upward until Loss(R) >= L holds exactly — the certified-far guarantee
 // tiled snapshots rely on.
 func (m *LogDistance) RangeForLoss(lossDB float64) float64 {
-	r := math.Pow(10, (lossDB-m.ReferenceLoss)/(10*m.Exponent))
+	r := pow10((lossDB - m.ReferenceLoss) / (10 * m.Exponent))
 	if r < m.MinDistance {
 		r = m.MinDistance
 	}

@@ -55,9 +55,10 @@ func ClampCCAThreshold(t DBm) (DBm, bool) {
 	return t, false
 }
 
-// Milliwatts converts a dBm level to linear milliwatts.
+// Milliwatts converts a dBm level to linear milliwatts. It returns
+// math.Pow(10, p/10) bit for bit, through pow10.
 func (p DBm) Milliwatts() float64 {
-	return math.Pow(10, float64(p)/10)
+	return pow10(float64(p) / 10)
 }
 
 // FromMilliwatts converts linear milliwatts to dBm. Zero or negative power

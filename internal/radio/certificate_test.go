@@ -13,16 +13,16 @@ import (
 	"nonortho/internal/topology"
 )
 
-// The zero-error certificate in closeSegment must not change a single bit
-// error or random draw. These tests replay the same randomized air twice:
-// once through production radios, once through refReceiver, a
-// receive-only copy of the radio's reception logic whose closeSegment
-// always evaluates SINR→BER→Binomial. Charged errors and the position of
+// The zero-error certificate and the tiny-BER band in closeSegment must
+// not change a single bit error or random draw. These tests replay the
+// same randomized air twice: once through production radios, once
+// through refReceiver, a receive-only copy of the radio's reception logic
+// whose closeSegment always evaluates SINR→BER→Binomial. Charged errors and the position of
 // every random stream must agree.
 
 // refReceiver is the reference: the radio's lock-on, capture and segment
 // integration, making the same medium calls in the same order, with the
-// segment close as it was before the certificate.
+// segment close as it was before either certificate.
 type refReceiver struct {
 	k       *sim.Kernel
 	m       *medium.Medium
@@ -53,7 +53,13 @@ type coverage struct {
 	// loose ones.
 	certTight int
 	certLoose int
+	// tinyTight and tinyLoose do the same for the tiny-BER band, an
+	// exact SINR in [TinyBERLoSINR + certMarginDB,
+	// TinyBERHiSINR − certMarginDB].
+	tinyTight int
+	tinyLoose int
 	nearBound int // exact SINR within 1 dB of ZeroBERSINR
+	nearTiny  int // exact SINR within 1 dB of a tiny-BER band edge
 	coChannel int // a co-channel interferer on the air
 	adjacent  int // an interferer on another channel on the air
 	captures  int // locks stolen by a stronger co-channel frame
@@ -63,7 +69,10 @@ func (c *coverage) add(o coverage) {
 	c.segments += o.segments
 	c.certTight += o.certTight
 	c.certLoose += o.certLoose
+	c.tinyTight += o.tinyTight
+	c.tinyLoose += o.tinyLoose
 	c.nearBound += o.nearBound
+	c.nearTiny += o.nearTiny
 	c.coChannel += o.coChannel
 	c.adjacent += o.adjacent
 	c.captures += o.captures
@@ -147,8 +156,18 @@ func (r *refReceiver) closeSegment() {
 	if sinr >= phy.ZeroBERSINR+certMarginDB-1e-9 {
 		r.cov.certLoose++
 	}
+	lo, hi := phy.TinyBERLoSINR+certMarginDB, phy.TinyBERHiSINR-certMarginDB
+	if sinr >= lo+1e-9 && sinr <= hi-1e-9 {
+		r.cov.tinyTight++
+	}
+	if sinr >= lo-1e-9 && sinr <= hi+1e-9 {
+		r.cov.tinyLoose++
+	}
 	if math.Abs(sinr-phy.ZeroBERSINR) < 1 {
 		r.cov.nearBound++
+	}
+	if math.Abs(sinr-phy.TinyBERLoSINR) < 1 || math.Abs(sinr-phy.TinyBERHiSINR) < 1 {
+		r.cov.nearTiny++
 	}
 	co, adj := false, false
 	for _, a := range r.onAir {
@@ -286,10 +305,7 @@ func replayCertified(t *testing.T, seed int64, nodes []replayNode, folded bool, 
 	k.Run()
 	var st SegmentStats
 	for _, r := range radios {
-		s := r.SegmentStats()
-		st.Closed += s.Closed
-		st.CertifiedZero += s.CertifiedZero
-		st.Exact += s.Exact
+		st.Add(r.SegmentStats())
 	}
 	names = append(names, "medium.fading", "medium.static")
 	return errs, st, streamPositions(k, names)
@@ -354,15 +370,20 @@ func TestCertifiedSegmentsMatchExactPath(t *testing.T) {
 						t.Fatalf("stream fingerprint %d = %d, reference %d: a random stream moved", i, gotPos[i], wantPos[i])
 					}
 				}
-				if st.Closed != uint64(cov.segments) || st.Closed != st.CertifiedZero+st.Exact {
+				if st.Closed != uint64(cov.segments) || st.Closed != st.CertifiedZero+st.CertifiedTiny+st.Exact {
 					t.Fatalf("segments %+v, reference closed %d", st, cov.segments)
 				}
 				if st.CertifiedZero < uint64(cov.certTight) || st.CertifiedZero > uint64(cov.certLoose) {
 					t.Fatalf("%d segments certified; %d to %d have an exact SINR above the bound",
 						st.CertifiedZero, cov.certTight, cov.certLoose)
 				}
+				if st.CertifiedTiny < uint64(cov.tinyTight) || st.CertifiedTiny > uint64(cov.tinyLoose) {
+					t.Fatalf("%d segments in the tiny-BER band; %d to %d have an exact SINR inside it",
+						st.CertifiedTiny, cov.tinyTight, cov.tinyLoose)
+				}
 				t.Logf("%d receptions, segments %+v, coverage %+v", receptions, st, cov)
-				if st.CertifiedZero == 0 || st.Exact == 0 || cov.nearBound == 0 ||
+				if st.CertifiedZero == 0 || st.CertifiedTiny == 0 || st.Exact == 0 ||
+					cov.nearBound == 0 || cov.nearTiny == 0 ||
 					cov.coChannel == 0 || cov.adjacent == 0 || cov.captures == 0 {
 					t.Fatalf("replay too narrow: segments %+v, coverage %+v", st, cov)
 				}

@@ -118,14 +118,26 @@ type SegmentStats struct {
 	// CertifiedZero counts segments whose SINR was provably at or above
 	// phy.ZeroBERSINR, charged zero errors without evaluating the BER.
 	CertifiedZero uint64
+	// CertifiedTiny counts segments whose SINR was provably inside
+	// [phy.TinyBERLoSINR, phy.TinyBERHiSINR], charged
+	// Binomial(bits, phy.TinyBERMax) without evaluating the SINR or BER.
+	CertifiedTiny uint64
 	// Exact counts segments charged through the SINR→BER→Binomial chain.
 	Exact uint64
 }
 
-// certMarginDB is the slack the zero-error certificate keeps above
-// phy.ZeroBERSINR: 0.23% in linear power, many orders of magnitude above
-// the rounding of the exact path's mW→dBm→mW round trip, so a certified
-// segment's exact SINR can never fall below phy.ZeroBERSINR.
+// Add accumulates o into s.
+func (s *SegmentStats) Add(o SegmentStats) {
+	s.Closed += o.Closed
+	s.CertifiedZero += o.CertifiedZero
+	s.CertifiedTiny += o.CertifiedTiny
+	s.Exact += o.Exact
+}
+
+// certMarginDB is the slack both certificates keep inside their SINR
+// bounds: 0.23% in linear power, many orders of magnitude above the
+// rounding of the exact path's mW→dBm→mW round trip, so a certified
+// segment's exact SINR can never fall outside the certified range.
 const certMarginDB = 0.01
 
 // Radio is one transceiver attached to a medium. Single-threaded, like the
@@ -170,7 +182,12 @@ type receptionState struct {
 	signal phy.DBm
 	// zeroMW bounds the noise-plus-interference, in milliwatts, under
 	// which a segment's SINR is at least phy.ZeroBERSINR + certMarginDB.
-	zeroMW    float64
+	zeroMW float64
+	// tinyMinMW and tinyMaxMW bound the noise-plus-interference, in
+	// milliwatts, between which a segment's SINR lies in
+	// [phy.TinyBERLoSINR + certMarginDB, phy.TinyBERHiSINR − certMarginDB].
+	tinyMinMW float64
+	tinyMaxMW float64
 	bitErrors int
 	segStart  sim.Time
 	collided  bool
@@ -180,11 +197,13 @@ type receptionState struct {
 // newReception starts a reception of tx at the given signal power.
 func newReception(tx *medium.Transmission, signal phy.DBm, now sim.Time, collided bool) receptionState {
 	return receptionState{
-		tx:       tx,
-		signal:   signal,
-		zeroMW:   (signal - phy.ZeroBERSINR - certMarginDB).Milliwatts(),
-		segStart: now,
-		collided: collided,
+		tx:        tx,
+		signal:    signal,
+		zeroMW:    (signal - phy.ZeroBERSINR - certMarginDB).Milliwatts(),
+		tinyMinMW: (signal - phy.TinyBERHiSINR + certMarginDB).Milliwatts(),
+		tinyMaxMW: (signal - phy.TinyBERLoSINR - certMarginDB).Milliwatts(),
+		segStart:  now,
+		collided:  collided,
 	}
 }
 
@@ -406,12 +425,16 @@ func (r *Radio) OffAir(tx *medium.Transmission) {
 // closeSegment integrates bit errors over the elapsed segment at the
 // current interference level and starts a new segment.
 //
-// A segment whose noise-plus-interference is at most rx.zeroMW has an SINR
-// of at least phy.ZeroBERSINR, where phy.BitErrorRate is exactly 0 and
-// RNG.Binomial returns 0 without a draw; it is charged 0 errors without
-// evaluating the chain. Every other segment takes the exact path. Both
-// read the same medium sum, so the fading draws happen either way and the
-// charged errors and RNG positions match the exact path bit for bit.
+// Two certificates skip the chain. A segment whose noise-plus-interference
+// is at most rx.zeroMW has an SINR of at least phy.ZeroBERSINR, where
+// phy.BitErrorRate is exactly 0 and RNG.Binomial returns 0 without a
+// draw; it is charged 0 errors. A segment whose sum lies in
+// [rx.tinyMinMW, rx.tinyMaxMW] has an SINR in the tiny-BER band, where
+// the BER lies in (0, phy.TinyBERMax] and RNG.Binomial returns the same
+// count from the same draws as at phy.TinyBERMax; it is charged that.
+// Every other segment takes the exact path. All three read the same
+// medium sum, so the fading draws happen either way and the charged
+// errors and RNG positions match the exact path bit for bit.
 func (r *Radio) closeSegment() {
 	now := r.kernel.Now()
 	elapsed := now - r.rx.segStart
@@ -426,9 +449,14 @@ func (r *Radio) closeSegment() {
 		return
 	}
 	r.segStats.Closed++
-	interfMW := r.medium.InterferenceMW(r.rx.tx, r.id, r.cfg.Freq)
-	if interfMW+phy.NoiseFloorMW <= r.rx.zeroMW {
+	sumMW := r.medium.InterferenceMW(r.rx.tx, r.id, r.cfg.Freq) + phy.NoiseFloorMW
+	if sumMW <= r.rx.zeroMW {
 		r.segStats.CertifiedZero++
+		return
+	}
+	if sumMW >= r.rx.tinyMinMW && sumMW <= r.rx.tinyMaxMW {
+		r.segStats.CertifiedTiny++
+		r.rx.bitErrors += r.rng.Binomial(bits, phy.TinyBERMax)
 		return
 	}
 	r.segStats.Exact++

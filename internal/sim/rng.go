@@ -84,6 +84,13 @@ func (g *RNG) Bernoulli(p float64) bool {
 // Binomial returns the number of successes in n Bernoulli(p) trials. For
 // large n with small expected count it uses per-trial inversion on a
 // geometric skip, which is O(successes) instead of O(n).
+//
+// Every p in (0, 2⁻⁸⁰] yields the same count from the same draws. For
+// n ≤ 64 a trial succeeds only on a Float64 of exactly 0, since the
+// smallest non-zero Float64 is 2⁻⁶³. For n > 64 the first skip is at
+// least −log(1−2⁻⁵³)/p ≥ 1.3e8 trials (or +Inf on a 0 draw), so the
+// call returns 0 after exactly one Float64 whenever n is below that.
+// TestBinomialTinyPInvariant checks it.
 func (g *RNG) Binomial(n int, p float64) int {
 	if n <= 0 || p <= 0 {
 		return 0

@@ -106,6 +106,45 @@ func TestBinomialDegenerate(t *testing.T) {
 	}
 }
 
+// TestBinomialTinyPInvariant checks the invariance the radio's tiny-BER
+// band rests on: for every p in (0, 2⁻⁸⁰], Binomial(n, p) returns the same
+// count as Binomial(n, 2⁻⁸⁰) and leaves the stream at the same position.
+// A third stream replays the draws the invariance predicts: n Float64s
+// counting exact zeros for n ≤ 64, one Float64 and no success above.
+func TestBinomialTinyPInvariant(t *testing.T) {
+	var ns []int
+	for n := 1; n <= 4096; n++ {
+		ns = append(ns, n)
+	}
+	ns = append(ns, 1_000_000)
+	for _, p := range []float64{0x1p-80, 1e-30, 1e-300, math.SmallestNonzeroFloat64} {
+		ref, got, oracle := NewRNG(7), NewRNG(7), NewRNG(7)
+		for _, n := range ns {
+			want := ref.Binomial(n, 0x1p-80)
+			if c := got.Binomial(n, p); c != want {
+				t.Fatalf("Binomial(%d, %g) = %d, Binomial(%d, 2^-80) = %d", n, p, c, n, want)
+			}
+			predicted := 0
+			if n <= 64 {
+				for i := 0; i < n; i++ {
+					if oracle.Float64() == 0 {
+						predicted++
+					}
+				}
+			} else {
+				oracle.Float64()
+			}
+			if want != predicted {
+				t.Fatalf("Binomial(%d, 2^-80) = %d, predicted %d", n, want, predicted)
+			}
+			r, g, o := ref.Int63(), got.Int63(), oracle.Int63()
+			if g != r || o != r {
+				t.Fatalf("n=%d p=%g: next draws %d (p), %d (2^-80), %d (predicted): the streams diverged", n, p, g, r, o)
+			}
+		}
+	}
+}
+
 func TestGaussianMoments(t *testing.T) {
 	g := NewRNG(13)
 	const n = 100000

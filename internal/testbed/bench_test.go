@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"nonortho/internal/phy"
-	"nonortho/internal/radio"
 	"nonortho/internal/sim"
 	"nonortho/internal/topology"
 )
@@ -35,27 +34,15 @@ func benchCell(scheme Scheme) *Testbed {
 	return tb
 }
 
-// segmentTotals sums every radio's reception-segment counters.
-func segmentTotals(tb *Testbed) radio.SegmentStats {
-	var sum radio.SegmentStats
-	for _, n := range tb.Networks() {
-		for _, node := range append([]*Node{n.Sink}, n.Senders...) {
-			s := node.Radio.SegmentStats()
-			sum.Closed += s.Closed
-			sum.CertifiedZero += s.CertifiedZero
-			sum.Exact += s.Exact
-		}
-	}
-	return sum
-}
-
-// reportCell reports the cell's throughput and the share of its closed
-// reception segments the zero-error certificate charged without a BER
-// evaluation (a deterministic count, independent of the host).
+// reportCell reports the cell's throughput and the shares of its closed
+// reception segments the zero-error certificate and the tiny-BER band
+// charged without a BER evaluation (deterministic counts, independent of
+// the host).
 func reportCell(b *testing.B, tb *Testbed) {
 	b.ReportMetric(tb.OverallThroughput(), "pkt/s")
-	if s := segmentTotals(tb); s.Closed > 0 {
+	if s := tb.SegmentStats(); s.Closed > 0 {
 		b.ReportMetric(float64(s.CertifiedZero)/float64(s.Closed), "certified/seg")
+		b.ReportMetric(float64(s.CertifiedTiny)/float64(s.Closed), "tiny/seg")
 	}
 }
 

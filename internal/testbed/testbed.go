@@ -241,6 +241,20 @@ func (tb *Testbed) EnableTrace(capacity int) *trace.Recorder {
 // Networks returns the networks in creation order.
 func (tb *Testbed) Networks() []*Network { return tb.networks }
 
+// SegmentStats sums the reception-segment counters of every network's
+// radios, sink first, in network creation order: the cell's deterministic
+// count of how its reception segments were charged.
+func (tb *Testbed) SegmentStats() radio.SegmentStats {
+	var sum radio.SegmentStats
+	for _, n := range tb.networks {
+		sum.Add(n.Sink.Radio.SegmentStats())
+		for _, s := range n.Senders {
+			sum.Add(s.Radio.SegmentStats())
+		}
+	}
+	return sum
+}
+
 // MeasuredDuration reports the total measurement time accumulated so far.
 func (tb *Testbed) MeasuredDuration() time.Duration { return tb.measured }
 

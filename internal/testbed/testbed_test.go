@@ -270,23 +270,26 @@ func TestFailureInjectionAdjustorRestart(t *testing.T) {
 }
 
 func TestSegmentCountersAddUp(t *testing.T) {
-	// Every closed segment is charged exactly once, either by the
-	// zero-error certificate or through the exact SINR→BER chain, and the
-	// counts are a deterministic function of the seed.
+	// Every closed segment is charged exactly once: by the zero-error
+	// certificate, by the tiny-BER band or through the exact SINR→BER
+	// chain. The cell exercises all three, and the counts are a
+	// deterministic function of the seed.
 	run := func() radio.SegmentStats {
 		tb := benchCell(SchemeDCN)
 		tb.Run(2*time.Second, time.Second)
-		return segmentTotals(tb)
+		return tb.SegmentStats()
 	}
 	s := run()
-	if s.Closed != s.CertifiedZero+s.Exact {
-		t.Fatalf("closed %d != certified %d + exact %d", s.Closed, s.CertifiedZero, s.Exact)
+	if s.Closed != s.CertifiedZero+s.CertifiedTiny+s.Exact {
+		t.Fatalf("closed %d != certified zero %d + tiny %d + exact %d",
+			s.Closed, s.CertifiedZero, s.CertifiedTiny, s.Exact)
 	}
-	if s.CertifiedZero == 0 || s.Exact == 0 {
-		t.Fatalf("segments %+v: the cell should exercise both paths", s)
+	if s.CertifiedZero == 0 || s.CertifiedTiny == 0 || s.Exact == 0 {
+		t.Fatalf("segments %+v: the cell should exercise all three paths", s)
 	}
 	if again := run(); again != s {
 		t.Fatalf("segment counters differ between identical runs: %+v vs %+v", s, again)
 	}
-	t.Logf("segments %+v: %.1f%% certified", s, 100*float64(s.CertifiedZero)/float64(s.Closed))
+	t.Logf("segments %+v: %.1f%% certified zero, %.1f%% tiny", s,
+		100*float64(s.CertifiedZero)/float64(s.Closed), 100*float64(s.CertifiedTiny)/float64(s.Closed))
 }
