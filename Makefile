@@ -1,6 +1,8 @@
 GO ?= go
 BENCH ?= .
-BENCH_OUT ?= BENCH_PR9.json
+# The default output is gitignored, so a local run never overwrites the
+# committed BENCH_PR*.json artifacts.
+BENCH_OUT ?= .bench_build/bench.json
 BENCH_BASE ?= BENCH_PR7.json
 
 # Pinned third-party analyzer versions for `make lint-full` (LINT_FULL=1).
@@ -54,6 +56,7 @@ fuzz:
 
 ## bench: run the microbenchmarks and write parsed JSON to $(BENCH_OUT).
 bench:
+	mkdir -p $(dir $(BENCH_OUT))
 	$(GO) run ./cmd/dcnbench -bench '$(BENCH)' -out $(BENCH_OUT)
 
 ## bench-compare: run the benchmarks into $(BENCH_OUT), then fail if any

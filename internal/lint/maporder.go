@@ -9,9 +9,10 @@ import (
 // Maporder flags range loops over maps whose body does order-dependent
 // work. Go randomizes map iteration order, so accumulating floats,
 // growing an outer slice, or emitting events from inside a map range
-// produces run-to-run different bits — exactly the hazard the medium's
-// orderedActive scratch sort exists to avoid. Order-independent bodies
-// (delete, per-entry field writes, max/count scans) are not flagged.
+// produces run-to-run different bits — exactly the hazard the medium
+// avoids by keeping its active set in transmission-ID order.
+// Order-independent bodies (delete, per-entry field writes, max/count
+// scans) are not flagged.
 //
 // Flagged inside any map-range body (all packages, non-test files):
 //   - floating-point accumulation (+=, -=, *=, /=, or x = x + ...) into

@@ -50,7 +50,7 @@ func BenchmarkSensedPowerDense(b *testing.B) {
 			b.StartTimer()
 		}
 		listener := ids[(i*11)%nodes]
-		_ = m.SensedPower(listener, freqs[i%len(freqs)], nil)
+		_ = m.SensedPower(listener, freqs[i%len(freqs)])
 	}
 }
 
@@ -78,8 +78,8 @@ func BenchmarkSensedPowerChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		src := (i * 7) % nodes
 		m.Transmit(ids[src], probes[src].pos, 0, freqs[i%len(freqs)], f)
-		_ = m.SensedPower(ids[(i*11)%nodes], freqs[i%len(freqs)], nil)
-		_ = m.SensedPower(ids[(i*17)%nodes], freqs[(i+1)%len(freqs)], nil)
+		_ = m.SensedPower(ids[(i*11)%nodes], freqs[i%len(freqs)])
+		_ = m.SensedPower(ids[(i*17)%nodes], freqs[(i+1)%len(freqs)])
 		if i%8 == 7 {
 			// Advance past every outstanding airtime: the batch finishes
 			// and its objects go back to the pool.
@@ -214,7 +214,7 @@ func BenchmarkSensedPower5kNodes(b *testing.B) {
 			b.StartTimer()
 		}
 		listener := ids[(i*11)%working]
-		_ = m.SensedPower(listener, probes[listener].band, nil)
+		_ = m.SensedPower(listener, probes[listener].band)
 	}
 }
 
@@ -270,6 +270,6 @@ func BenchmarkInterferenceDense(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.Interference(wanted, ids[(i*13)%nodes], 2460)
+		_ = m.InterferenceMW(wanted, ids[(i*13)%nodes], 2460)
 	}
 }

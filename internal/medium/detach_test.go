@@ -77,7 +77,7 @@ func TestDetachedListenerSensesNothing(t *testing.T) {
 
 	m.Transmit(srcID, src.pos, 0, 2460, &frame.Frame{Type: frame.TypeData, Payload: make([]byte, 64)})
 	m.Detach(goneID)
-	if got := m.SensedPower(goneID, 2460, nil); got != phy.Silent {
+	if got := m.SensedPower(goneID, 2460); got != phy.Silent {
 		t.Fatalf("sensed power at a detached listener = %v, want Silent", got)
 	}
 }
@@ -98,9 +98,9 @@ func TestDetachDropsCachedLinkBudgets(t *testing.T) {
 	tx := m.Transmit(srcID, src.pos, 0, 2460, &frame.Frame{Type: frame.TypeData, Payload: make([]byte, 64)})
 
 	// Warm every cache layer: link budgets, fading draws and mW slots.
-	_ = m.SensedPower(goneID, 2460, nil)
-	stayBefore := m.SensedPower(stayID, 2460, nil)
-	if got := m.SensedPower(goneID, 2460, nil); got <= phy.Silent {
+	_ = m.SensedPower(goneID, 2460)
+	stayBefore := m.SensedPower(stayID, 2460)
+	if got := m.SensedPower(goneID, 2460); got <= phy.Silent {
 		t.Fatalf("attached listener sensed %v, want real power", got)
 	}
 
@@ -114,16 +114,16 @@ func TestDetachDropsCachedLinkBudgets(t *testing.T) {
 	if tx.perL[goneID] != (txListenerCache{}) {
 		t.Fatalf("in-flight transmission kept a cache slot for detached listener: %+v", tx.perL[goneID])
 	}
-	if got := m.SensedPower(goneID, 2460, nil); got != phy.Silent {
+	if got := m.SensedPower(goneID, 2460); got != phy.Silent {
 		t.Fatalf("SensedPower at detached listener = %v, want Silent", got)
 	}
 	if got := m.RxPower(tx, goneID); got != phy.Silent {
 		t.Fatalf("RxPower at detached listener = %v, want Silent", got)
 	}
-	if got := m.Interference(tx, goneID, 2460); got != phy.Silent {
+	if got := phy.FromMilliwatts(m.InterferenceMW(tx, goneID, 2460)); got != phy.Silent {
 		t.Fatalf("Interference at detached listener = %v, want Silent", got)
 	}
-	if got := m.SensedPower(stayID, 2460, nil); got != stayBefore {
+	if got := m.SensedPower(stayID, 2460); got != stayBefore {
 		t.Fatalf("remaining listener's sensed power drifted after Detach: %v, was %v", got, stayBefore)
 	}
 }

@@ -36,7 +36,7 @@ func Example() {
 	fmt.Printf("raw rx power:      %.1f dBm\n", float64(m.RxPower(tx, obsID)))
 	fmt.Printf("in-channel @2460:  %.1f dBm (3 MHz off, 17 dB rejected)\n",
 		float64(m.InChannelPower(tx, obsID, 2460)))
-	fmt.Printf("sensed @2463:      %.1f dBm\n", float64(m.SensedPower(obsID, 2463, nil)))
+	fmt.Printf("sensed @2463:      %.1f dBm\n", float64(m.SensedPower(obsID, 2463)))
 	// Output:
 	// raw rx power:      -40.0 dBm
 	// in-channel @2460:  -57.0 dBm (3 MHz off, 17 dB rejected)

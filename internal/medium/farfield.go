@@ -132,7 +132,7 @@ func (m *Medium) trackActive(tx *Transmission) {
 }
 
 // untrackActive undoes trackActive when the transmission leaves the air.
-// Swap-removes: per-source lists are re-sorted by ID at gather time.
+// removeTx keeps each list in ID order.
 func (m *Medium) untrackActive(tx *Transmission) {
 	if tx.Src < len(m.bySrc) {
 		m.bySrc[tx.Src] = removeTx(m.bySrc[tx.Src], tx)
@@ -140,18 +140,6 @@ func (m *Medium) untrackActive(tx *Transmission) {
 	if !tx.farBounded {
 		m.unbounded = removeTx(m.unbounded, tx)
 	}
-}
-
-func removeTx(s []*Transmission, tx *Transmission) []*Transmission {
-	for i, t := range s {
-		if t == tx {
-			last := len(s) - 1
-			s[i] = s[last]
-			s[last] = nil
-			return s[:last]
-		}
-	}
-	return s
 }
 
 // nearActive gathers, in ascending transmission-ID order, every active

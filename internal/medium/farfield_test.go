@@ -121,7 +121,7 @@ func TestFoldedUnbackedFallbacks(t *testing.T) {
 	// the exact truth by at most the declared error.
 	tx := m.Transmit(ids[9], probes[9].pos, 0, 2458, testFrame(16))
 	exact := phy.FromMilliwatts(phy.NoiseFloorMW + m.InChannelPower(tx, ids[5], 2458).Milliwatts())
-	folded := m.SensedPower(ids[5], 2458, nil)
+	folded := m.SensedPower(ids[5], 2458)
 	if float64(folded) < float64(exact) || float64(folded) > float64(exact)+m.FarFieldErrorDB()+1e-9 {
 		t.Fatalf("folded SensedPower = %v, want within [%v, +%v dB]", folded, exact, m.FarFieldErrorDB())
 	}
@@ -140,7 +140,7 @@ func TestFoldedUnbackedFallbacks(t *testing.T) {
 	}
 	// Its sums are exact: compare against a brute-force walk.
 	want := phy.FromMilliwatts(phy.NoiseFloorMW + m.InChannelPower(tx, late, 2458).Milliwatts())
-	if got := m.SensedPower(late, 2458, nil); got != want {
+	if got := m.SensedPower(late, 2458); got != want {
 		t.Fatalf("unbacked SensedPower = %v, want exact %v", got, want)
 	}
 }

@@ -56,9 +56,6 @@ type Transmission struct {
 	// recycled through the free-list.
 	perL []txListenerCache
 
-	// activeIdx is the transmission's current index in Medium.active
-	// (maintained across swap-removes), or -1 when off the air.
-	activeIdx int
 	// farBounded marks a transmission the far-field fold's certificate
 	// covers (narrowband, legal power, source backed by the snapshot);
 	// maintained only while folding is active (farfield.go).
@@ -123,18 +120,11 @@ type Medium struct {
 	staticRNG   *sim.RNG
 
 	listeners []Listener
-	// active holds the in-flight transmissions. finish removes by
-	// swap-remove, so the slice is NOT ID-ordered; power sums always go
-	// through orderedActive, which restores ID order — floating-point
-	// sums must be evaluated in the same order every run.
+	// active holds the in-flight transmissions in ascending ID order, the
+	// order every power sum visits them in: floating-point sums must be
+	// evaluated in the same order every run. Transmit appends (IDs only
+	// grow) and finish deletes in place.
 	active []*Transmission
-	// scratch is the reusable ID-ordered copy of active used by resums.
-	// The sorted order is a property of the on-air set alone, so it is
-	// memoized by epoch: the first cache miss after a change sorts, every
-	// other listener missing in the same epoch reuses the result.
-	scratch      []*Transmission
-	scratchEpoch uint64
-	scratchValid bool
 	// txPool is the free-list of recycled Transmission objects. A
 	// finished transmission (and its perL slice) parks here and is reset
 	// on reuse, so steady-state churn allocates nothing.
@@ -192,20 +182,16 @@ type sumCache struct {
 	valid bool
 }
 
-// interfCache is the Interference variant, additionally keyed by the wanted
-// transmission being excluded from the sum. A fill stores the raw
-// milliwatt sum (far-field term included); its dBm value is converted on
-// the first Interference read and kept beside it. Interference and
-// InterferenceMW share one fill, and a receiver that only needs the mW
-// sum to bound its SINR never pays the conversion.
+// interfCache is InterferenceMW's memoized result, additionally keyed by
+// the wanted transmission being left out of the sum. It holds the raw
+// milliwatt sum, far-field term included; callers that need dBm convert
+// at their edge.
 type interfCache struct {
 	freq   phy.MHz
 	wanted uint64
 	epoch  uint64
 	mw     float64
-	dbm    phy.DBm
 	valid  bool
-	hasDBm bool // dbm == phy.FromMilliwatts(mw)
 }
 
 // listenerSums carries one listener's cached sensing sums.
@@ -340,7 +326,6 @@ func (m *Medium) TransmitShaped(src int, pos phy.Position, power phy.DBm, freq, 
 	tx.End = now + sim.FromDuration(f.Airtime())
 	m.nextTxID++
 	m.fanout(tx, false)
-	tx.activeIdx = len(m.active)
 	m.active = append(m.active, tx)
 	if m.spatial {
 		m.trackActive(tx)
@@ -356,7 +341,7 @@ func (m *Medium) TransmitShaped(src int, pos phy.Position, power phy.DBm, freq, 
 func (m *Medium) newTransmission() *Transmission {
 	n := len(m.txPool)
 	if n == 0 {
-		return &Transmission{activeIdx: -1}
+		return &Transmission{}
 	}
 	tx := m.txPool[n-1]
 	m.txPool[n-1] = nil
@@ -365,7 +350,7 @@ func (m *Medium) newTransmission() *Transmission {
 	for i := range perL {
 		perL[i] = txListenerCache{}
 	}
-	*tx = Transmission{perL: perL[:0], activeIdx: -1}
+	*tx = Transmission{perL: perL[:0]}
 	return tx
 }
 
@@ -409,25 +394,29 @@ func (m *Medium) fanout(tx *Transmission, off bool) {
 
 func (m *Medium) finish(tx *Transmission) {
 	m.fanout(tx, true)
-	// Index-tracked swap-remove: O(1) instead of the old linear scan.
-	// ID order of the slice is sacrificed; orderedActive restores it for
-	// every power sum.
-	if i := tx.activeIdx; i >= 0 && i < len(m.active) && m.active[i] == tx {
-		last := len(m.active) - 1
-		m.active[i] = m.active[last]
-		m.active[i].activeIdx = i
-		m.active[last] = nil
-		m.active = m.active[:last]
-		tx.activeIdx = -1
-		if m.spatial {
-			m.untrackActive(tx)
-		}
-		m.epoch++ // after the OffAir fan-out: receivers closing segments see tx still on the air
-		// Park the transmission for reuse. Fields stay readable until the
-		// object is actually reused — callers may still inspect Start/End
-		// after the flight — and are reset in newTransmission.
-		m.txPool = append(m.txPool, tx)
+	m.active = removeTx(m.active, tx)
+	if m.spatial {
+		m.untrackActive(tx)
 	}
+	m.epoch++ // after the OffAir fan-out: receivers closing segments see tx still on the air
+	// Park the transmission for reuse. Fields stay readable until the
+	// object is actually reused — callers may still inspect Start/End
+	// after the flight — and are reset in newTransmission.
+	m.txPool = append(m.txPool, tx)
+}
+
+// removeTx deletes tx from s in place, keeping the remaining elements in
+// order: the active set and the far-field lists stay ID-ordered.
+func removeTx(s []*Transmission, tx *Transmission) []*Transmission {
+	for i, t := range s {
+		if t == tx {
+			last := len(s) - 1
+			copy(s[i:], s[i+1:])
+			s[last] = nil
+			return s[:last]
+		}
+	}
+	return s
 }
 
 // ActiveCount reports the number of transmissions currently on the air.
@@ -666,31 +655,10 @@ func (m *Medium) rxMW(tx *Transmission, listenerID int) float64 {
 	return s.rxMW
 }
 
-// orderedActive returns the active set sorted by transmission ID, in a
-// scratch slice reused across calls. finish's swap-remove leaves m.active
-// unordered, but every floating-point power sum must run in ID order to
-// stay deterministic; the insertion sort is cheap because the set is small
-// and nearly sorted.
-func (m *Medium) orderedActive() []*Transmission {
-	if m.scratchValid && m.scratchEpoch == m.epoch {
-		return m.scratch
-	}
-	s := append(m.scratch[:0], m.active...)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].ID < s[j-1].ID; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	m.scratch = s
-	m.scratchEpoch = m.epoch
-	m.scratchValid = true
-	return s
-}
-
 // SensedPower returns the total in-channel energy a receiver tuned to freq
 // measures at listener l — the quantity the CCA and the RSSI register see.
-// It includes the noise floor; exclude (may be nil) is omitted from the sum,
-// which a transmitting radio uses to ignore its own signal.
+// It includes the noise floor and leaves out the listener's own
+// transmissions.
 //
 // The sum is cached per listener and tuning, keyed by the on-air epoch:
 // repeated samples between on-air changes — the CCA hot path — cost O(1).
@@ -698,25 +666,16 @@ func (m *Medium) orderedActive() []*Transmission {
 // identical ID-ordered loop already ran in the same epoch, so both the
 // returned bits and the lazy fading/shadowing RNG draw order match the
 // direct computation.
-func (m *Medium) SensedPower(listenerID int, freq phy.MHz, exclude *Transmission) phy.DBm {
+func (m *Medium) SensedPower(listenerID int, freq phy.MHz) phy.DBm {
 	if m.listeners[listenerID] == nil {
 		return phy.Silent // detached listener measures nothing
-	}
-	if exclude != nil && exclude.Src != listenerID {
-		// Excluding a foreign transmission changes the sum's composition
-		// in a way the per-listener cache does not model; compute
-		// directly. A radio ignoring its own signal (the common case,
-		// exclude.Src == listenerID) skips the same set of transmissions
-		// as exclude == nil, because the listener's own transmissions are
-		// always skipped — the cached value is valid for both.
-		return m.sensedPowerDirect(listenerID, freq, exclude)
 	}
 	c := &m.sums[listenerID].sensed
 	if !c.valid || c.epoch != m.epoch || c.freq != freq {
 		*c = sumCache{
 			freq:  freq,
 			epoch: m.epoch,
-			dbm:   m.sensedPowerDirect(listenerID, freq, exclude),
+			dbm:   m.sensedPowerDirect(listenerID, freq),
 			valid: true,
 		}
 	}
@@ -732,17 +691,14 @@ func (m *Medium) sumSet(listenerID int) (set []*Transmission, farMW float64) {
 	if m.folded(listenerID) {
 		return m.nearActive(listenerID), m.farFoldMW(listenerID)
 	}
-	return m.orderedActive(), 0
+	return m.active, 0
 }
 
 // sensedPowerDirect is the reference ID-ordered sum behind SensedPower.
-func (m *Medium) sensedPowerDirect(listenerID int, freq phy.MHz, exclude *Transmission) phy.DBm {
+func (m *Medium) sensedPowerDirect(listenerID int, freq phy.MHz) phy.DBm {
 	set, farMW := m.sumSet(listenerID)
 	total := phy.NoiseFloorMW + farMW
 	for _, tx := range set {
-		if exclude != nil && tx.ID == exclude.ID {
-			continue
-		}
 		if tx.Src == listenerID {
 			continue
 		}
@@ -758,19 +714,16 @@ func (m *Medium) sensedPowerDirect(listenerID int, freq phy.MHz, exclude *Transm
 // bandwidth — so this accessor exists for the oracle CCA policy that
 // quantifies the paper's Section VII-C future-work upper bound.
 // Cached per (listener, tuning, epoch) exactly like SensedPower.
-func (m *Medium) SensedCoChannelPower(listenerID int, freq phy.MHz, exclude *Transmission) phy.DBm {
+func (m *Medium) SensedCoChannelPower(listenerID int, freq phy.MHz) phy.DBm {
 	if m.listeners[listenerID] == nil {
 		return phy.Silent // detached listener measures nothing
-	}
-	if exclude != nil && exclude.Src != listenerID {
-		return m.sensedCoChannelDirect(listenerID, freq, exclude)
 	}
 	c := &m.sums[listenerID].coch
 	if !c.valid || c.epoch != m.epoch || c.freq != freq {
 		*c = sumCache{
 			freq:  freq,
 			epoch: m.epoch,
-			dbm:   m.sensedCoChannelDirect(listenerID, freq, exclude),
+			dbm:   m.sensedCoChannelDirect(listenerID, freq),
 			valid: true,
 		}
 	}
@@ -781,13 +734,10 @@ func (m *Medium) SensedCoChannelPower(listenerID int, freq phy.MHz, exclude *Tra
 // SensedCoChannelPower. The far-field fold is frequency-blind (its
 // certificate bounds total in-channel power), so a folded co-channel
 // reading carries the same one-sided error bound as SensedPower.
-func (m *Medium) sensedCoChannelDirect(listenerID int, freq phy.MHz, exclude *Transmission) phy.DBm {
+func (m *Medium) sensedCoChannelDirect(listenerID int, freq phy.MHz) phy.DBm {
 	set, farMW := m.sumSet(listenerID)
 	total := phy.NoiseFloorMW + farMW
 	for _, tx := range set {
-		if exclude != nil && tx.ID == exclude.ID {
-			continue
-		}
 		if tx.Src == listenerID || tx.Freq != freq {
 			continue
 		}
@@ -796,48 +746,28 @@ func (m *Medium) sensedCoChannelDirect(listenerID int, freq phy.MHz, exclude *Tr
 	return phy.FromMilliwatts(total)
 }
 
-// Interference returns the combined in-channel interference (excluding the
-// noise floor and the wanted transmission itself) a receiver locked to
-// wanted experiences at listener l. Cached per (listener, tuning, wanted,
-// epoch) — a receiver repeatedly probing the landscape around one locked
+// InterferenceMW returns the combined in-channel interference, in
+// milliwatts, a receiver locked to wanted experiences at listener l: the
+// noise floor, the wanted transmission and the listener's own
+// transmissions are left out. Cached per (listener, tuning, wanted,
+// epoch): a receiver repeatedly probing the landscape around one locked
 // frame between on-air changes pays the loop once.
-func (m *Medium) Interference(wanted *Transmission, listenerID int, freq phy.MHz) phy.DBm {
-	c := &m.sums[listenerID].interf
-	if !c.valid || c.epoch != m.epoch || c.freq != freq || c.wanted != wanted.ID {
-		m.fillInterf(c, wanted, listenerID, freq)
-	}
-	if !c.hasDBm {
-		c.dbm, c.hasDBm = phy.FromMilliwatts(c.mw), true
-	}
-	return c.dbm
-}
-
-// InterferenceMW is Interference in milliwatts, before the dBm
-// conversion: Interference == phy.FromMilliwatts(InterferenceMW) bit for
-// bit. Both read the same cache entry.
 func (m *Medium) InterferenceMW(wanted *Transmission, listenerID int, freq phy.MHz) float64 {
 	c := &m.sums[listenerID].interf
 	if !c.valid || c.epoch != m.epoch || c.freq != freq || c.wanted != wanted.ID {
-		m.fillInterf(c, wanted, listenerID, freq)
+		*c = interfCache{
+			freq:   freq,
+			wanted: wanted.ID,
+			epoch:  m.epoch,
+			mw:     m.interferenceDirect(wanted, listenerID, freq),
+			valid:  true,
+		}
 	}
 	return c.mw
 }
 
-// fillInterf refills the listener's interference cache entry c from
-// interferenceDirect. Interference and InterferenceMW each check the key
-// themselves, so a cache hit costs one call, as Interference's always has.
-func (m *Medium) fillInterf(c *interfCache, wanted *Transmission, listenerID int, freq phy.MHz) {
-	*c = interfCache{
-		freq:   freq,
-		wanted: wanted.ID,
-		epoch:  m.epoch,
-		mw:     m.interferenceDirect(wanted, listenerID, freq),
-		valid:  true,
-	}
-}
-
-// interferenceDirect is the reference ID-ordered sum behind Interference,
-// in milliwatts. It excludes the noise floor but not the far-field term: a
+// interferenceDirect is the reference ID-ordered sum behind
+// InterferenceMW. It excludes the noise floor but not the far-field term: a
 // receiver's SINR denominator must account for the folded far field.
 func (m *Medium) interferenceDirect(wanted *Transmission, listenerID int, freq phy.MHz) float64 {
 	set, total := m.sumSet(listenerID)

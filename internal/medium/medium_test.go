@@ -116,7 +116,7 @@ func TestSensedPowerNoiseFloorWhenQuiet(t *testing.T) {
 	_, m := newTestMedium(t, WithFadingSigma(0), WithStaticFadingSigma(0))
 	l := &fakeListener{}
 	id := m.Attach(l)
-	got := m.SensedPower(id, 2460, nil)
+	got := m.SensedPower(id, 2460)
 	if math.Abs(float64(got-phy.NoiseFloor)) > 1e-9 {
 		t.Errorf("quiet SensedPower = %v, want noise floor %v", got, phy.NoiseFloor)
 	}
@@ -133,39 +133,32 @@ func TestSensedPowerAppliesRejection(t *testing.T) {
 
 	m.Transmit(idSrc, src.pos, 0, 2460, testFrame(16))
 
-	co := m.SensedPower(idObs, 2460, nil)
+	co := m.SensedPower(idObs, 2460)
 	if math.Abs(float64(co)+40) > 0.01 {
 		t.Errorf("co-channel sensed = %v, want ≈ -40", co)
 	}
-	adj := m.SensedPower(idObs, 2463, nil) // 3 MHz away: 17 dB rejection
+	adj := m.SensedPower(idObs, 2463) // 3 MHz away: 17 dB rejection
 	if math.Abs(float64(adj)+57) > 0.01 {
 		t.Errorf("adjacent sensed = %v, want ≈ -57", adj)
 	}
 	// 15 MHz away: saturated 50 dB rejection → -90 dBm, which combines
 	// with the -100 dBm noise floor to ≈ -89.59 dBm.
-	far := m.SensedPower(idObs, 2475, nil)
+	far := m.SensedPower(idObs, 2475)
 	if math.Abs(float64(far)+89.59) > 0.05 {
 		t.Errorf("far sensed = %v, want ≈ -89.59", far)
 	}
 }
 
-func TestSensedPowerExcludesOwnAndExcluded(t *testing.T) {
+func TestSensedPowerExcludesOwn(t *testing.T) {
 	_, m := newTestMedium(t, WithFadingSigma(0), WithStaticFadingSigma(0))
 	a := &fakeListener{pos: phy.Position{X: 0}}
-	b := &fakeListener{pos: phy.Position{X: 1}}
 	idA := m.Attach(a)
-	idB := m.Attach(b)
 
-	txA := m.Transmit(idA, a.pos, 0, 2460, testFrame(16))
+	m.Transmit(idA, a.pos, 0, 2460, testFrame(16))
 	// A senses: own transmission excluded by Src, so just noise.
-	got := m.SensedPower(idA, 2460, nil)
+	got := m.SensedPower(idA, 2460)
 	if math.Abs(float64(got-phy.NoiseFloor)) > 1e-9 {
 		t.Errorf("own-tx sensed = %v, want noise floor", got)
-	}
-	// B excluding txA sees noise only.
-	got = m.SensedPower(idB, 2460, txA)
-	if math.Abs(float64(got-phy.NoiseFloor)) > 1e-9 {
-		t.Errorf("excluded-tx sensed = %v, want noise floor", got)
 	}
 }
 
@@ -182,7 +175,7 @@ func TestSensedPowerCombinesConcurrentTransmitters(t *testing.T) {
 
 	m.Transmit(id1, s1.pos, 0, 2460, testFrame(16))
 	m.Transmit(id2, s2.pos, 0, 2460, testFrame(16))
-	got := m.SensedPower(idObs, 2460, nil)
+	got := m.SensedPower(idObs, 2460)
 	// Two -40 dBm arrivals sum to ≈ -37 dBm.
 	if math.Abs(float64(got)+37) > 0.05 {
 		t.Errorf("combined sensed = %v, want ≈ -37", got)
@@ -203,7 +196,7 @@ func TestInterferenceExcludesWanted(t *testing.T) {
 	txW := m.Transmit(idW, want.pos, 0, 2460, testFrame(16))
 	m.Transmit(idI, intf.pos, 0, 2463, testFrame(16))
 
-	got := m.Interference(txW, idObs, 2460)
+	got := phy.FromMilliwatts(m.InterferenceMW(txW, idObs, 2460))
 	// Interferer raw at 2 m: -49.03 dBm; minus 17 dB rejection ≈ -66.
 	if math.Abs(float64(got)+66.03) > 0.1 {
 		t.Errorf("Interference = %v, want ≈ -66", got)

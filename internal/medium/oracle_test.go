@@ -15,11 +15,13 @@ import (
 // bit-identical to a brute-force sum the test maintains itself, under a
 // randomized churn of transmissions starting and ending, listeners
 // detaching and attaching, receivers retuning across channels,
-// wideband and over-spec emitters, and radios excluding their own signal.
-// The oracle tracks the on-air set through the public OnAir/OffAir listener
-// callbacks and sums per-transmission powers through the public
-// InChannelPower/RxPower accessors in ID order — it never touches the
-// medium's active slice, epoch counter, or sum caches. The same churn runs
+// wideband and over-spec emitters, and transmitting listeners, whose own
+// signal the sums leave out. The oracle tracks the on-air set through the
+// public OnAir/OffAir listener callbacks and sums per-transmission powers
+// through the public InChannelPower/RxPower accessors in ID order — its
+// references never read the medium's active slice, epoch counter, or sum
+// caches; it only asserts that the active slice stays in ascending ID
+// order, the order the medium's own sums rely on. The same churn runs
 // against a dense medium, a near-field snapshot in exact mode
 // (bit-identical by construction), and the far-field fold (bounded
 // one-sided error).
@@ -195,12 +197,9 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 		sort.Slice(s, func(i, j int) bool { return s[i].ID < s[j].ID })
 		return s
 	}
-	bruteSensed := func(lid int, freq phy.MHz, exclude *Transmission) phy.DBm {
+	bruteSensed := func(lid int, freq phy.MHz) phy.DBm {
 		total := phy.NoiseFloorMW
 		for _, tx := range ordered() {
-			if exclude != nil && tx.ID == exclude.ID {
-				continue
-			}
 			if tx.Src == lid {
 				continue
 			}
@@ -208,12 +207,9 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 		}
 		return phy.FromMilliwatts(total)
 	}
-	bruteCoChannel := func(lid int, freq phy.MHz, exclude *Transmission) phy.DBm {
+	bruteCoChannel := func(lid int, freq phy.MHz) phy.DBm {
 		total := phy.NoiseFloorMW
 		for _, tx := range ordered() {
-			if exclude != nil && tx.ID == exclude.ID {
-				continue
-			}
 			if tx.Src == lid || tx.Freq != freq {
 				continue
 			}
@@ -293,27 +289,30 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 		}
 	}
 
-	foldedSamples := 0
+	foldedSamples, ownSamples := 0, 0
 	check := func() {
+		for i := 1; i < len(m.active); i++ {
+			if m.active[i-1].ID >= m.active[i].ID {
+				t.Fatalf("t=%v: active set out of ID order at index %d: ID %d before %d",
+					k.Now(), i, m.active[i-1].ID, m.active[i].ID)
+			}
+		}
 		for _, lid := range ids {
 			if m.Attached(lid) && m.folded(lid) {
 				foldedSamples++
 			}
 			if !m.Attached(lid) {
-				if got := m.SensedPower(lid, channels[0], nil); got != phy.Silent {
+				if got := m.SensedPower(lid, channels[0]); got != phy.Silent {
 					t.Fatalf("detached listener %d: SensedPower = %v, want Silent", lid, got)
 				}
 				continue
 			}
 			freq := channels[rng.Intn(len(channels))]
-			// Find this listener's own transmission and a foreign one, if
-			// any are up, to exercise both exclude paths.
-			var own, foreign *Transmission
+			// A transmitting listener's samples cover the own-signal skip.
 			for _, tx := range active {
 				if tx.Src == lid {
-					own = tx
-				} else {
-					foreign = tx
+					ownSamples++
+					break
 				}
 			}
 			// Sample twice: the first call fills the per-listener cache,
@@ -325,16 +324,11 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 				return v
 			}
 			for pass := 0; pass < 2; pass++ {
-				for _, excl := range []*Transmission{nil, own, foreign} {
-					compare("SensedPower", lid, sample(m.SensedPower(lid, freq, excl)), bruteSensed(lid, freq, excl))
-					compare("SensedCoChannelPower", lid, sample(m.SensedCoChannelPower(lid, freq, excl)), bruteCoChannel(lid, freq, excl))
-				}
+				compare("SensedPower", lid, sample(m.SensedPower(lid, freq)), bruteSensed(lid, freq))
+				compare("SensedCoChannelPower", lid, sample(m.SensedCoChannelPower(lid, freq)), bruteCoChannel(lid, freq))
 				if len(active) > 0 {
 					wanted := active[0]
-					compareMW(lid, sample(m.Interference(wanted, lid, freq)), bruteInterference(wanted, lid, freq))
-					if got, want := phy.FromMilliwatts(m.InterferenceMW(wanted, lid, freq)), m.Interference(wanted, lid, freq); got != want {
-						t.Fatalf("listener %d: FromMilliwatts(InterferenceMW) = %v, Interference = %v", lid, got, want)
-					}
+					compareMW(lid, sample(phy.FromMilliwatts(m.InterferenceMW(wanted, lid, freq))), bruteInterference(wanted, lid, freq))
 				}
 			}
 		}
@@ -367,6 +361,22 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 	for i := 0; i < 250; i++ {
 		k.After(time.Duration(rng.Intn(int(span))), check)
 	}
+	// Bursts: four equal-length frames from distinct sources, staggered so
+	// the first to start ends first while the other three are still up.
+	// Sampling just after each end catches a removal that leaves the
+	// active set out of ID order; the sparse churn above rarely has more
+	// than two frames on the air.
+	burst := testFrame(64)
+	airtime := burst.Airtime()
+	for b := 0; b < 8; b++ {
+		at := time.Duration(rng.Intn(int(span - 2*airtime)))
+		for j := 0; j < 4; j++ {
+			src, start := ids[j], at+time.Duration(j)*airtime/8
+			freq := channels[rng.Intn(len(channels))]
+			k.After(start, func() { m.Transmit(src, pos[src], -5, freq, burst) })
+			k.After(start+airtime+time.Microsecond, check)
+		}
+	}
 	k.After(span/2, func() { m.Detach(victim) })
 	k.After(3*span/4, func() {
 		attach(phy.Position{X: rng.Float64() * 10, Y: -5}, false)
@@ -381,5 +391,8 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 	// samples.
 	if folded && foldedSamples == 0 {
 		t.Fatal("folded run sampled no folded listener — the fold path was never exercised")
+	}
+	if ownSamples == 0 {
+		t.Fatal("no listener was sampled while transmitting — the own-signal skip was never exercised")
 	}
 }

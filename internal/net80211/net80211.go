@@ -144,7 +144,7 @@ func (s *Station) scheduleAttempt() {
 func (s *Station) attempt() {
 	// DCF energy-detect carrier sense on our own channel: overlapping
 	// foreign energy above CSThreshold defers us, co-channel obviously too.
-	if s.medium.SensedPower(s.id, s.freq, nil) > CSThreshold || s.transmitting {
+	if s.medium.SensedPower(s.id, s.freq) > CSThreshold || s.transmitting {
 		s.scheduleAttempt()
 		return
 	}
@@ -177,7 +177,7 @@ func (s *Station) OnAir(tx *medium.Transmission) {
 	}
 	s.locked = tx
 	sinr := phy.SINR(s.medium.InChannelPower(tx, s.id, s.freq),
-		s.medium.Interference(tx, s.id, s.freq))
+		phy.FromMilliwatts(s.medium.InterferenceMW(tx, s.id, s.freq)))
 	s.lockedSINRok = sinr >= CaptureSINR
 	if off != 0 {
 		s.ForeignLocks++

@@ -103,7 +103,7 @@ func (r *refReceiver) OnAir(tx *medium.Transmission) {
 		return
 	}
 	r.lock(tx, s)
-	r.m.Interference(tx, r.id, r.freq) // the radio's lock-on collision probe
+	r.m.InterferenceMW(tx, r.id, r.freq) // the radio's lock-on collision probe
 }
 
 func (r *refReceiver) OffAir(tx *medium.Transmission) {
@@ -145,7 +145,7 @@ func (r *refReceiver) closeSegment() {
 	if bits == 0 {
 		return
 	}
-	interf := r.m.Interference(r.tx, r.id, r.freq)
+	interf := phy.FromMilliwatts(r.m.InterferenceMW(r.tx, r.id, r.freq))
 	sinr := phy.SINR(r.signal, interf)
 	r.bitErrors += r.rng.Binomial(bits, phy.BitErrorRate(sinr))
 

@@ -136,9 +136,19 @@ func (s *SegmentStats) Add(o SegmentStats) {
 
 // certMarginDB is the slack both certificates keep inside their SINR
 // bounds: 0.23% in linear power, many orders of magnitude above the
-// rounding of the exact path's mW→dBm→mW round trip, so a certified
-// segment's exact SINR can never fall outside the certified range.
+// rounding of the exact path's mW→dBm→mW round trip and of the tiny-BER
+// bounds' derivation from zeroMW, so a certified segment's exact SINR can
+// never fall outside the certified range.
 const certMarginDB = 0.01
+
+// tinyMinFactor and tinyMaxFactor scale a reception's zeroMW to its
+// tiny-BER bounds, so a lock-on pays one power of ten instead of three:
+// (signal − TinyBERHiSINR + m) = (signal − ZeroBERSINR − m) +
+// (ZeroBERSINR − TinyBERHiSINR + 2m), and likewise for TinyBERLoSINR.
+var (
+	tinyMinFactor = phy.DBm(phy.ZeroBERSINR - phy.TinyBERHiSINR + 2*certMarginDB).Milliwatts()
+	tinyMaxFactor = phy.DBm(phy.ZeroBERSINR - phy.TinyBERLoSINR).Milliwatts()
+)
 
 // Radio is one transceiver attached to a medium. Single-threaded, like the
 // rest of the simulation.
@@ -161,7 +171,6 @@ type Radio struct {
 	segStats SegmentStats
 
 	rx     *receptionState
-	ownTx  *medium.Transmission
 	energy energyMeter
 
 	// rxBuf backs rx: the state never escapes a reception (receivers get a
@@ -185,7 +194,9 @@ type receptionState struct {
 	zeroMW float64
 	// tinyMinMW and tinyMaxMW bound the noise-plus-interference, in
 	// milliwatts, between which a segment's SINR lies in
-	// [phy.TinyBERLoSINR + certMarginDB, phy.TinyBERHiSINR − certMarginDB].
+	// [phy.TinyBERLoSINR + certMarginDB, phy.TinyBERHiSINR − certMarginDB],
+	// up to the few ulps of their derivation from zeroMW, which
+	// certMarginDB absorbs.
 	tinyMinMW float64
 	tinyMaxMW float64
 	bitErrors int
@@ -196,12 +207,13 @@ type receptionState struct {
 
 // newReception starts a reception of tx at the given signal power.
 func newReception(tx *medium.Transmission, signal phy.DBm, now sim.Time, collided bool) receptionState {
+	zeroMW := (signal - phy.ZeroBERSINR - certMarginDB).Milliwatts()
 	return receptionState{
 		tx:        tx,
 		signal:    signal,
-		zeroMW:    (signal - phy.ZeroBERSINR - certMarginDB).Milliwatts(),
-		tinyMinMW: (signal - phy.TinyBERHiSINR + certMarginDB).Milliwatts(),
-		tinyMaxMW: (signal - phy.TinyBERLoSINR - certMarginDB).Milliwatts(),
+		zeroMW:    zeroMW,
+		tinyMinMW: zeroMW * tinyMinFactor,
+		tinyMaxMW: zeroMW * tinyMaxFactor,
 		segStart:  now,
 		collided:  collided,
 	}
@@ -315,12 +327,12 @@ func (r *Radio) SetOn() {
 }
 
 // SensedPower reads the RSSI register: total in-channel energy, the
-// quantity CCA compares against the threshold. A transmitting radio does
-// not hear the medium; reading during TX returns the last meaningful value
-// semantics-free, so we simply exclude our own signal. The reading includes
-// any injected calibration error.
+// quantity CCA compares against the threshold. The medium leaves the
+// radio's own transmissions out of the sum, so a reading taken during TX
+// sees only the rest of the air. The reading includes any injected
+// calibration error.
 func (r *Radio) SensedPower() phy.DBm {
-	return r.medium.SensedPower(r.id, r.cfg.Freq, r.ownTx) + r.rssiOffset
+	return r.medium.SensedPower(r.id, r.cfg.Freq) + r.rssiOffset
 }
 
 // CCAClear performs a clear-channel assessment: true when the sensed
@@ -334,7 +346,7 @@ func (r *Radio) CCAClear() bool {
 // It backs the interference-differentiating CCA upper bound of the
 // paper's Section VII-C.
 func (r *Radio) SensedCoChannelPower() phy.DBm {
-	return r.medium.SensedCoChannelPower(r.id, r.cfg.Freq, r.ownTx)
+	return r.medium.SensedCoChannelPower(r.id, r.cfg.Freq)
 }
 
 // Transmit puts f on the air at the radio's channel and power. Any
@@ -350,9 +362,7 @@ func (r *Radio) Transmit(f *frame.Frame) (*medium.Transmission, error) {
 	}
 	r.abortRx()
 	r.setState(StateTX)
-	tx := r.medium.Transmit(r.id, r.cfg.Pos, r.cfg.TxPower, r.cfg.Freq, f)
-	r.ownTx = tx
-	return tx, nil
+	return r.medium.Transmit(r.id, r.cfg.Pos, r.cfg.TxPower, r.cfg.Freq, f), nil
 }
 
 // OnAir implements medium.Listener.
@@ -394,7 +404,10 @@ func (r *Radio) OnAir(tx *medium.Transmission) {
 	r.setState(StateRX)
 	r.rxBuf = newReception(tx, signal, r.kernel.Now(), false)
 	r.rx = &r.rxBuf
-	if r.medium.Interference(tx, r.id, r.cfg.Freq) > phy.Silent {
+	// The probe's sum also makes the lazy fading draws of every other
+	// transmission on the air, in ID order, so it runs at every lock-on.
+	// The comparison is made in dBm: a Silent contributor adds 1e-100 mW.
+	if phy.FromMilliwatts(r.medium.InterferenceMW(tx, r.id, r.cfg.Freq)) > phy.Silent {
 		r.rx.collided = true
 	}
 }
@@ -402,7 +415,6 @@ func (r *Radio) OnAir(tx *medium.Transmission) {
 // OffAir implements medium.Listener.
 func (r *Radio) OffAir(tx *medium.Transmission) {
 	if tx.Src == r.id {
-		r.ownTx = nil
 		if r.state == StateTX {
 			r.setState(StateIdle)
 		}
@@ -449,7 +461,8 @@ func (r *Radio) closeSegment() {
 		return
 	}
 	r.segStats.Closed++
-	sumMW := r.medium.InterferenceMW(r.rx.tx, r.id, r.cfg.Freq) + phy.NoiseFloorMW
+	interfMW := r.medium.InterferenceMW(r.rx.tx, r.id, r.cfg.Freq)
+	sumMW := interfMW + phy.NoiseFloorMW
 	if sumMW <= r.rx.zeroMW {
 		r.segStats.CertifiedZero++
 		return
@@ -460,8 +473,7 @@ func (r *Radio) closeSegment() {
 		return
 	}
 	r.segStats.Exact++
-	interf := r.medium.Interference(r.rx.tx, r.id, r.cfg.Freq) // cache hit: FromMilliwatts(interfMW)
-	ber := phy.BitErrorRate(phy.SINR(r.rx.signal, interf))
+	ber := phy.BitErrorRate(phy.SINR(r.rx.signal, phy.FromMilliwatts(interfMW)))
 	r.rx.bitErrors += r.rng.Binomial(bits, ber)
 }
 

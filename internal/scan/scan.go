@@ -102,7 +102,7 @@ func (s *Scanner) Survey(freqs []phy.MHz, done func([]ChannelReport)) {
 			samples int
 		)
 		ticker := s.kernel.NewTicker(s.cfg.SamplePeriod, func() {
-			level := s.medium.SensedPower(s.id, freq, nil)
+			level := s.medium.SensedPower(s.id, freq)
 			sum += level.Milliwatts()
 			if level > max {
 				max = level
