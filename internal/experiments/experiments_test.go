@@ -573,6 +573,9 @@ func TestUpperBoundBothRegimes(t *testing.T) {
 		t.Skip("six full runs; skipped in -short")
 	}
 	res, tbl := UpperBound(quick())
+	// The oracle rows are the only table output that reads
+	// SensedCoChannelPower; pin their bytes.
+	checkGolden(t, "UpperBound/quick", tbl.String())
 	get := func(geom, policy string) float64 {
 		for _, r := range res.Rows {
 			if r.Geometry == geom && r.Policy == policy {
