@@ -142,14 +142,13 @@ func BenchmarkOnAirFanout(b *testing.B) {
 	})
 }
 
-// cityBenchSetup builds a 5,000-node city cell (1,000 four-sender networks
-// over a ~6.3 km square, 6-channel plan) on a near-field snapshot with the
-// far-field fold active under a 0.5 dB budget, and attaches one banded
-// probe per node. It returns the medium, kernel, attach IDs and per-node
-// bands, with sinks at indices i*5.
-func cityBenchSetup(b *testing.B) (*sim.Kernel, *Medium, []int, []*bandedProbe) {
+// cityBenchSetup builds a city cell of the given number of four-sender
+// networks (200 m of square side per √network, 6-channel plan) on a
+// near-field snapshot with the far-field fold active under a 0.5 dB
+// budget, and attaches one banded probe per node. It returns the medium,
+// kernel, attach IDs and per-node bands, with sinks at indices i*5.
+func cityBenchSetup(b *testing.B, networks int) (*sim.Kernel, *Medium, []int, []*bandedProbe) {
 	b.Helper()
-	const networks = 1000
 	centers := make([]phy.MHz, 6)
 	for i := range centers {
 		centers[i] = 2458 + phy.MHz(i)*3
@@ -157,7 +156,7 @@ func cityBenchSetup(b *testing.B) (*sim.Kernel, *Medium, []int, []*bandedProbe) 
 	cfg := topology.CityConfig{
 		Plan:     phy.ChannelPlan{Start: 2458, Bandwidth: 15, CFD: 3, Centers: centers},
 		Networks: networks,
-		AreaSide: 200 * math.Sqrt(networks),
+		AreaSide: 200 * math.Sqrt(float64(networks)),
 	}
 	nets, err := topology.GenerateCity(cfg, sim.NewRNG(1))
 	if err != nil {
@@ -190,7 +189,7 @@ func cityBenchSetup(b *testing.B) (*sim.Kernel, *Medium, []int, []*bandedProbe) 
 // term, so the per-sample cost tracks the neighbourhood size k, not the
 // population n — the scaling claim gated in check.sh.
 func BenchmarkSensedPower5kNodes(b *testing.B) {
-	k, m, ids, probes := cityBenchSetup(b)
+	k, m, ids, probes := cityBenchSetup(b, 1000)
 	f := &frame.Frame{Type: frame.TypeData, Payload: make([]byte, 64)}
 	startBatch := func() {
 		for j := 0; j < 5; j++ {
@@ -223,7 +222,7 @@ func BenchmarkSensedPower5kNodes(b *testing.B) {
 // no-ops as an idle radio's are for an off-band event. The callbacks/event
 // metric reports the population walked.
 func BenchmarkOnAirFanout5kNodes(b *testing.B) {
-	k, m, ids, probes := cityBenchSetup(b)
+	k, m, ids, probes := cityBenchSetup(b, 1000)
 	f := &frame.Frame{Type: frame.TypeData, Payload: make([]byte, 16)}
 	airtime := sim.FromDuration(f.Airtime())
 	b.ReportAllocs()
@@ -272,4 +271,30 @@ func BenchmarkInterferenceDense(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = m.InterferenceMW(wanted, ids[(i*13)%nodes], 2460)
 	}
+}
+
+// BenchmarkInterferenceFoldedBusy measures a cache-missing folded read on a
+// busy city cell: 1,000 nodes (200 networks, the perfbench city-1k
+// geometry) with 400 transmissions on the air from sources spread across
+// the city, about what a city-1k cell carries. Consecutive reads change
+// both the listener and the wanted transmission, so every InterferenceMW
+// call misses the per-listener sum cache and walks the listener's whole
+// folded sum set; the per-pair power slots stay warm after the first pass.
+func BenchmarkInterferenceFoldedBusy(b *testing.B) {
+	_, m, ids, probes := cityBenchSetup(b, 200)
+	f := &frame.Frame{Type: frame.TypeData, Payload: make([]byte, 64)}
+	const onAir = 400
+	active := make([]*Transmission, 0, onAir)
+	for j := 0; j < onAir; j++ {
+		src := j * len(ids) / onAir
+		active = append(active, m.Transmit(ids[src], probes[src].pos, 0, probes[src].band, f))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		listener := ids[(i*13)%len(ids)]
+		_ = m.InterferenceMW(active[i%onAir], listener, probes[listener].band)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(m.ActiveCount()), "active")
 }

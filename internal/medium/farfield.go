@@ -115,69 +115,180 @@ func (m *Medium) farFoldMW(listenerID int) float64 {
 	return float64(m.farN-len(near)) * m.farUnitMW
 }
 
-// trackActive indexes a freshly transmitted tx for the folded paths: on its
-// source's active list, and on the unbounded list when the fold's
-// certificate cannot cover it (wideband, over-spec power, or a source
-// outside the snapshot geometry).
+// nearEntry is one transmission on a backed listener's near-active list,
+// with the listener's rank of its source: the index of tx.Src in the
+// listener's near row, which is also the source's slot in the listener's
+// rank-indexed link row, or -1 when the source is not near.
+type nearEntry struct {
+	tx   *Transmission
+	rank int32
+}
+
+// trackActive lists a freshly transmitted tx on the near-active list of
+// every backed listener whose folded sums must visit it. A transmission the
+// fold's certificate covers (narrowband, legal power, source backed by the
+// snapshot) goes to the listeners in its source's near row — rows are
+// symmetric, so those are exactly the listeners whose near row holds the
+// source. Any other transmission cannot be folded and goes to every backed
+// listener. IDs only grow, so appending keeps every list in ID order. It
+// runs after the OnAir fan-out, like the append to the active set.
 func (m *Medium) trackActive(tx *Transmission) {
-	for len(m.bySrc) <= tx.Src {
-		m.bySrc = append(m.bySrc, nil)
-	}
-	m.bySrc[tx.Src] = append(m.bySrc[tx.Src], tx)
 	tx.farBounded = tx.Bandwidth == 0 && tx.Power <= phy.MaxTxPower &&
 		m.snap.Backed(tx.Src, tx.Pos)
-	if !tx.farBounded {
-		m.unbounded = append(m.unbounded, tx)
+	if tx.farBounded {
+		near, _ := m.snap.NearRow(tx.Src)
+		for _, l := range near {
+			if int(l) < len(m.farBacked) && m.farBacked[l] {
+				m.listNear(int(l), tx)
+			}
+		}
+		return
+	}
+	for l, backed := range m.farBacked {
+		if backed {
+			m.listNear(l, tx)
+		}
 	}
 }
 
-// untrackActive undoes trackActive when the transmission leaves the air.
-// removeTx keeps each list in ID order.
-func (m *Medium) untrackActive(tx *Transmission) {
-	if tx.Src < len(m.bySrc) {
-		m.bySrc[tx.Src] = removeTx(m.bySrc[tx.Src], tx)
-	}
-	if !tx.farBounded {
-		m.unbounded = removeTx(m.unbounded, tx)
-	}
-}
-
-// nearActive gathers, in ascending transmission-ID order, every active
-// transmission that can contribute above the fold's certificate at a
-// backed listener: all transmissions from the listener's near sources,
-// plus every unbounded transmission (deduplicated — an unbounded
-// transmission from a near source is already gathered). Everything else
-// is from a certified-far source at legal power and is covered by
-// farFoldMW. The scratch slice is reused across calls.
-func (m *Medium) nearActive(listenerID int) []*Transmission {
-	s := m.nearScratch[:0]
+// listNear appends tx to the backed listener's near-active list, ranking
+// its source once here so the folded sums index the listener's link row
+// directly. The row is grown to the near-row length before any entry can
+// index it.
+func (m *Medium) listNear(listenerID int, tx *Transmission) {
 	near, _ := m.snap.NearRow(listenerID)
-	for _, src := range near {
-		if int(src) < len(m.bySrc) {
-			s = append(s, m.bySrc[src]...)
+	r := rankOf(near, int32(tx.Src))
+	if r >= 0 {
+		m.spatialRow(listenerID, len(near))
+	}
+	m.nearAct[listenerID] = append(m.nearAct[listenerID], nearEntry{tx: tx, rank: int32(r)})
+}
+
+// untrackActive takes tx off the lists trackActive put it on when it leaves
+// the air. A listener attached after the transmission started was seeded
+// by Attach, and a detached one's list was cleared, so visiting the
+// currently backed listeners finds every copy.
+func (m *Medium) untrackActive(tx *Transmission) {
+	if tx.farBounded {
+		near, _ := m.snap.NearRow(tx.Src)
+		for _, l := range near {
+			if int(l) < len(m.farBacked) && m.farBacked[l] {
+				m.nearAct[l] = removeEntry(m.nearAct[l], tx)
+			}
+		}
+		return
+	}
+	for l, backed := range m.farBacked {
+		if backed {
+			m.nearAct[l] = removeEntry(m.nearAct[l], tx)
 		}
 	}
-	for _, tx := range m.unbounded {
-		if tx.Src >= m.farN || !containsID(near, int32(tx.Src)) {
-			s = append(s, tx)
+}
+
+// seedNear fills the near-active list of a backed listener that attaches
+// while transmissions are on the air: the filter trackActive would have
+// applied, over the ID-ordered active set.
+func (m *Medium) seedNear(listenerID int) {
+	near, _ := m.snap.NearRow(listenerID)
+	for _, tx := range m.active {
+		if !tx.farBounded || rankOf(near, int32(tx.Src)) >= 0 {
+			m.listNear(listenerID, tx)
 		}
 	}
-	// Restore ID order — floating-point sums must run in the same order
-	// every time. Insertion sort: per-source lists are already ascending,
-	// so the merge is nearly sorted.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].ID < s[j-1].ID; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+}
+
+// removeEntry is removeTx for near-active lists: an in-place delete that
+// keeps the list in ID order.
+func removeEntry(s []nearEntry, tx *Transmission) []nearEntry {
+	for i, e := range s {
+		if e.tx == tx {
+			last := len(s) - 1
+			copy(s[i:], s[i+1:])
+			s[last] = nearEntry{}
+			return s[:last]
 		}
 	}
-	m.nearScratch = s
 	return s
 }
 
-// containsID reports whether the ascending ID slice holds id.
-func containsID(ids []int32, id int32) bool {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	return i < len(ids) && ids[i] == id
+// The folded sums. A backed listener's sums visit its near-active list —
+// in ascending ID order, the order the exact sums visit the active set in —
+// and add the certified aggregate of everything beyond it (farFoldMW). Each
+// entry's link slot is taken by its stored rank; only a source outside the
+// near row (an unbounded transmission from afar) goes through spatialSlot
+// to the spill map.
+
+// nearSlot returns the listener's link slot for a near-active entry, rekeyed
+// to the entry's transmission exactly as powerSlot rekeys.
+func (m *Medium) nearSlot(listenerID int, e nearEntry) *linkSlot {
+	var s *linkSlot
+	if e.rank >= 0 {
+		s = &m.rows[listenerID][e.rank]
+	} else {
+		s = m.spatialSlot(listenerID, e.tx.Src)
+	}
+	if s.txID != e.tx.ID {
+		s.txID = e.tx.ID
+		s.hasRx = false
+		s.hasIn = false
+	}
+	return s
+}
+
+// sensedPowerFolded is sensedPowerDirect for a backed listener. The slot
+// fills below mirror inChannelMW and rxMW, open-coded for the reason given
+// above link in medium.go: a helper around nearSlot does not inline, and
+// the call costs ~10% on BenchmarkInterferenceFoldedBusy.
+func (m *Medium) sensedPowerFolded(listenerID int, freq phy.MHz) phy.DBm {
+	total := phy.NoiseFloorMW + m.farFoldMW(listenerID)
+	for _, e := range m.nearAct[listenerID] {
+		if e.tx.Src == listenerID {
+			continue
+		}
+		s := m.nearSlot(listenerID, e)
+		if !s.hasIn || s.inFreq != freq {
+			s.inMW = m.InChannelPower(e.tx, listenerID, freq).Milliwatts()
+			s.inFreq = freq
+			s.hasIn = true
+		}
+		total += s.inMW
+	}
+	return phy.FromMilliwatts(total)
+}
+
+// sensedCoChannelFolded is sensedCoChannelDirect for a backed listener.
+func (m *Medium) sensedCoChannelFolded(listenerID int, freq phy.MHz) phy.DBm {
+	total := phy.NoiseFloorMW + m.farFoldMW(listenerID)
+	for _, e := range m.nearAct[listenerID] {
+		if e.tx.Src == listenerID || e.tx.Freq != freq {
+			continue
+		}
+		s := m.nearSlot(listenerID, e)
+		if !s.hasRx {
+			s.rxMW = m.RxPower(e.tx, listenerID).Milliwatts()
+			s.hasRx = true
+		}
+		total += s.rxMW
+	}
+	return phy.FromMilliwatts(total)
+}
+
+// interferenceFolded is interferenceDirect for a backed listener.
+func (m *Medium) interferenceFolded(wanted *Transmission, listenerID int, freq phy.MHz) float64 {
+	total := m.farFoldMW(listenerID)
+	for _, e := range m.nearAct[listenerID] {
+		if e.tx.ID == wanted.ID || e.tx.Src == listenerID {
+			continue
+		}
+		s := m.nearSlot(listenerID, e)
+		if !s.hasIn || s.inFreq != freq {
+			s.inMW = m.InChannelPower(e.tx, listenerID, freq).Milliwatts()
+			s.inFreq = freq
+			s.hasIn = true
+		}
+		total += s.inMW
+	}
+	return total
 }
 
 // folded reports whether the listener's power sums run on the folded path:

@@ -155,19 +155,18 @@ type Medium struct {
 	// active (farBudgetDB > 0): spatial flags the folded mode,
 	// farUnitMW/farMaxCount/farN are derived constants, farBacked tracks
 	// (in lockstep with listeners) whether each listener's position is
-	// snapshot-backed, bySrc/unbounded index the active set for the folded
-	// sums, spill backs link slots outside the rank-indexed rows, and
-	// nearScratch is the folded sums' reusable gather buffer.
+	// snapshot-backed, nearAct holds (in the same lockstep) each backed
+	// listener's ID-ordered near-active list — the transmissions its folded
+	// sums visit, each with its source's rank in the listener's link row —
+	// and spill backs link slots outside the rank-indexed rows.
 	farBudgetDB float64
 	spatial     bool
 	farUnitMW   float64
 	farMaxCount int
 	farN        int
 	farBacked   []bool
-	bySrc       [][]*Transmission
-	unbounded   []*Transmission
+	nearAct     [][]nearEntry
 	spill       map[int64]*linkSlot
-	nearScratch []*Transmission
 }
 
 // sumCache is one listener's memoized SensedPower (or co-channel) result:
@@ -252,7 +251,12 @@ func (m *Medium) Attach(l Listener) int {
 	m.rows = append(m.rows, nil)
 	id := len(m.listeners) - 1
 	if m.spatial {
-		m.farBacked = append(m.farBacked, m.snap.Backed(id, l.Position()))
+		backed := m.snap.Backed(id, l.Position())
+		m.farBacked = append(m.farBacked, backed)
+		m.nearAct = append(m.nearAct, nil)
+		if backed {
+			m.seedNear(id)
+		}
 	}
 	return id
 }
@@ -287,6 +291,7 @@ func (m *Medium) Detach(id int) {
 	}
 	if m.spatial {
 		m.farBacked[id] = false
+		m.nearAct[id] = nil
 	}
 	// The departed listener now measures Silent where a cached sum holds
 	// its old landscape; invalidate every cached sum.
@@ -406,7 +411,7 @@ func (m *Medium) finish(tx *Transmission) {
 }
 
 // removeTx deletes tx from s in place, keeping the remaining elements in
-// order: the active set and the far-field lists stay ID-ordered.
+// order: the active set stays ID-ordered.
 func removeTx(s []*Transmission, tx *Transmission) []*Transmission {
 	for i, t := range s {
 		if t == tx {
@@ -560,13 +565,12 @@ func (m *Medium) Reachable(tx *Transmission, listenerID int) bool {
 	if l == nil {
 		return true // detached: it hears nothing anyway
 	}
-	loss, ok := m.snap.PairLoss(tx.Src, listenerID, tx.Pos, l.Position())
+	loss, near, ok := m.snap.PairLossOrFloor(tx.Src, listenerID, tx.Pos, l.Position())
 	if !ok {
-		bound, okf := m.snap.PairLossFloor(tx.Src, listenerID, tx.Pos, l.Position())
-		if !okf {
-			return true // outside the snapshot geometry: no proof
-		}
-		if power-phy.DBm(bound)+phy.ReachMarginDB < phy.Sensitivity {
+		return true // outside the snapshot geometry: no proof
+	}
+	if !near {
+		if power-phy.DBm(loss)+phy.ReachMarginDB < phy.Sensitivity {
 			return false // even the certified floor loss rules the pair out
 		}
 		// The floor alone cannot decide; fall back to the exact model loss.
@@ -682,23 +686,15 @@ func (m *Medium) SensedPower(listenerID int, freq phy.MHz) phy.DBm {
 	return c.dbm
 }
 
-// sumSet returns the ID-ordered transmissions the listener's power sums
-// visit and the far-field term they add: the whole active set and 0 for a
-// plain listener; with the far-field fold active, a backed listener's
-// near field and the certified aggregate of everything beyond it
-// (farfield.go). Adding the 0 term leaves a plain sum's bits unchanged.
-func (m *Medium) sumSet(listenerID int) (set []*Transmission, farMW float64) {
-	if m.folded(listenerID) {
-		return m.nearActive(listenerID), m.farFoldMW(listenerID)
-	}
-	return m.active, 0
-}
-
-// sensedPowerDirect is the reference ID-ordered sum behind SensedPower.
+// sensedPowerDirect is the reference ID-ordered sum behind SensedPower. With
+// the far-field fold active, a backed listener's sum runs on its near field
+// plus the certified aggregate of everything beyond it (farfield.go).
 func (m *Medium) sensedPowerDirect(listenerID int, freq phy.MHz) phy.DBm {
-	set, farMW := m.sumSet(listenerID)
-	total := phy.NoiseFloorMW + farMW
-	for _, tx := range set {
+	if m.folded(listenerID) {
+		return m.sensedPowerFolded(listenerID, freq)
+	}
+	total := phy.NoiseFloorMW
+	for _, tx := range m.active {
 		if tx.Src == listenerID {
 			continue
 		}
@@ -735,9 +731,11 @@ func (m *Medium) SensedCoChannelPower(listenerID int, freq phy.MHz) phy.DBm {
 // certificate bounds total in-channel power), so a folded co-channel
 // reading carries the same one-sided error bound as SensedPower.
 func (m *Medium) sensedCoChannelDirect(listenerID int, freq phy.MHz) phy.DBm {
-	set, farMW := m.sumSet(listenerID)
-	total := phy.NoiseFloorMW + farMW
-	for _, tx := range set {
+	if m.folded(listenerID) {
+		return m.sensedCoChannelFolded(listenerID, freq)
+	}
+	total := phy.NoiseFloorMW
+	for _, tx := range m.active {
 		if tx.Src == listenerID || tx.Freq != freq {
 			continue
 		}
@@ -770,8 +768,11 @@ func (m *Medium) InterferenceMW(wanted *Transmission, listenerID int, freq phy.M
 // InterferenceMW. It excludes the noise floor but not the far-field term: a
 // receiver's SINR denominator must account for the folded far field.
 func (m *Medium) interferenceDirect(wanted *Transmission, listenerID int, freq phy.MHz) float64 {
-	set, total := m.sumSet(listenerID)
-	for _, tx := range set {
+	if m.folded(listenerID) {
+		return m.interferenceFolded(wanted, listenerID, freq)
+	}
+	total := 0.0
+	for _, tx := range m.active {
 		if tx.ID == wanted.ID || tx.Src == listenerID {
 			continue
 		}

@@ -66,6 +66,14 @@ type oracleConfig struct {
 	// fold's certificate is fade-free, so only the fade-free landscape is
 	// provably one-sided against the brute force.
 	noFading bool
+	// lateBacked (requires nearBound) captures a seventh node in the
+	// snapshot, 3 m from the first, that attaches at its captured
+	// position only late in the run, just after a narrowband frame from
+	// the first node and a wideband one have gone on the air — so a
+	// snapshot-backed listener joins mid-flight and, under the fold,
+	// Attach must seed its near-active list. It replaces the run's
+	// unbacked late attacher.
+	lateBacked bool
 }
 
 // oracleName labels a churn subtest. Every fan-out reaches every live
@@ -112,6 +120,10 @@ func TestFoldedChurnBoundedError(t *testing.T) {
 				area: 120, nearBound: 95, farBudget: 15, noFading: true})
 		})
 	}
+	t.Run("seed=1/late-backed-attach", func(t *testing.T) {
+		testOracleChurn(t, oracleConfig{seed: 1,
+			area: 120, nearBound: 95, farBudget: 15, noFading: true, lateBacked: true})
+	})
 }
 
 func compareSampleHistories(t *testing.T, a, b []phy.DBm, an, bn string) {
@@ -148,15 +160,23 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 	if cfg.noFading {
 		mopts = append(mopts, WithFadingSigma(0), WithStaticFadingSigma(0))
 	}
+	latePos := phy.Position{X: initPos[0].X + 3, Y: initPos[0].Y}
 	var farUnitMW float64
+	var snap *topology.Snapshot
 	if cfg.nearBound > 0 {
 		// One single-node network per initial listener: snapshot attach IDs
-		// 0..5 line up with the medium's.
-		nets := make([]topology.NetworkSpec, len(initPos))
-		for i, p := range initPos {
+		// 0..5 line up with the medium's, and the late-backed node's 6 with
+		// the late attacher's.
+		captured := initPos
+		if cfg.lateBacked {
+			captured = append(captured[:len(captured):len(captured)], latePos)
+		}
+		nets := make([]topology.NetworkSpec, len(captured))
+		for i, p := range captured {
 			nets[i] = topology.NetworkSpec{Freq: channels[0], Sink: topology.NodeSpec{Pos: p}}
 		}
-		snap, err := topology.SnapshotFromSpecsNear(nets, nil, cfg.nearBound)
+		var err error
+		snap, err = topology.SnapshotFromSpecsNear(nets, nil, cfg.nearBound)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,6 +309,53 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 		}
 	}
 
+	// checkNearLists holds the folded sums' sum sets to their definition:
+	// a backed listener's near-active list is, in ID order, every tracked
+	// transmission from a source in its near row plus every transmission
+	// the fold cannot cover (wideband, over-spec, or from an unbacked
+	// source), each with its source's rankOf in the near row; any other
+	// listener's list is empty.
+	unboundedSeen := 0
+	checkNearLists := func() {
+		if len(m.nearAct) != len(m.listeners) {
+			t.Fatalf("%d near-active lists for %d listeners", len(m.nearAct), len(m.listeners))
+		}
+		for lid, got := range m.nearAct {
+			var want []*Transmission
+			var row []int32
+			if m.folded(lid) {
+				row, _ = snap.NearRow(lid)
+				for _, tx := range ordered() {
+					near := false
+					for _, id := range row {
+						near = near || int(id) == tx.Src
+					}
+					bounded := tx.Bandwidth == 0 && tx.Power <= phy.MaxTxPower && snap.Backed(tx.Src, tx.Pos)
+					if !bounded {
+						unboundedSeen++
+					}
+					if near || !bounded {
+						want = append(want, tx)
+					}
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("t=%v listener %d: near-active list holds %d transmissions, want %d",
+					k.Now(), lid, len(got), len(want))
+			}
+			for i, e := range got {
+				if e.tx != want[i] {
+					t.Fatalf("t=%v listener %d: near-active entry %d is tx %d, want tx %d",
+						k.Now(), lid, i, e.tx.ID, want[i].ID)
+				}
+				if r := rankOf(row, int32(e.tx.Src)); int(e.rank) != r {
+					t.Fatalf("t=%v listener %d: tx %d stored rank %d, rankOf %d",
+						k.Now(), lid, e.tx.ID, e.rank, r)
+				}
+			}
+		}
+	}
+
 	foldedSamples, ownSamples := 0, 0
 	check := func() {
 		for i := 1; i < len(m.active); i++ {
@@ -296,6 +363,9 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 				t.Fatalf("t=%v: active set out of ID order at index %d: ID %d before %d",
 					k.Now(), i, m.active[i-1].ID, m.active[i].ID)
 			}
+		}
+		if folded {
+			checkNearLists()
 		}
 		for _, lid := range ids {
 			if m.Attached(lid) && m.folded(lid) {
@@ -379,7 +449,17 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 	}
 	k.After(span/2, func() { m.Detach(victim) })
 	k.After(3*span/4, func() {
-		attach(phy.Position{X: rng.Float64() * 10, Y: -5}, false)
+		if !cfg.lateBacked {
+			attach(phy.Position{X: rng.Float64() * 10, Y: -5}, false)
+			check()
+			return
+		}
+		m.Transmit(ids[0], pos[ids[0]], -5, channels[0], burst)
+		m.TransmitShaped(ids[1], pos[ids[1]], -5, channels[1], 4, burst)
+		late := attach(latePos, false)
+		if folded && !m.folded(late) {
+			t.Fatalf("late attacher %d at its captured position is not snapshot-backed", late)
+		}
 		check()
 	})
 	k.Run()
@@ -391,6 +471,9 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 	// samples.
 	if folded && foldedSamples == 0 {
 		t.Fatal("folded run sampled no folded listener — the fold path was never exercised")
+	}
+	if folded && unboundedSeen == 0 {
+		t.Fatal("no unbounded transmission was on the air at a near-active list check")
 	}
 	if ownSamples == 0 {
 		t.Fatal("no listener was sampled while transmitting — the own-signal skip was never exercised")

@@ -21,7 +21,7 @@ import (
 // sink first, then its senders. Only pairs within the loss bound are
 // materialised, in compressed sparse rows built through a Grid range
 // query — O(n·k) construction and memory for neighbourhood size k — and
-// far pairs are answered with the bound itself via PairLossFloor. Stored
+// far pairs are answered with the bound itself via PairLossOrFloor. Stored
 // losses are computed with exactly the expression the medium itself uses
 // (model.Loss of the pair distance), so lookups are bit-identical to lazy
 // computation; PairLoss verifies positions before answering and reports
@@ -129,34 +129,30 @@ func (s *Snapshot) Model() phy.PathLossModel { return s.model }
 // back to the medium's own model, never to a wrong value. Safe for
 // concurrent use: the snapshot is immutable after construction.
 func (s *Snapshot) PairLoss(src, listener int, from, to phy.Position) (float64, bool) {
-	if src < 0 || src >= s.n || listener < 0 || listener >= s.n {
-		return 0, false
+	loss, near, _ := s.PairLossOrFloor(src, listener, from, to)
+	if !near {
+		return 0, false // far pair or unmatched geometry: no stored loss
 	}
-	if s.pos[src] != from || s.pos[listener] != to {
-		return 0, false
-	}
-	if r := s.nearRank(listener, int32(src)); r >= 0 {
-		return s.nearLoss[r], true
-	}
-	return 0, false // far pair: only the floor is known (PairLossFloor)
+	return loss, true
 }
 
-// PairLossFloor is the counterpart of PairLoss for pairs the snapshot
-// deliberately omits: when both nodes match the captured geometry and the
-// pair is certified far, it returns the snapshot's loss bound — a floor
-// every such pair's true loss provably reaches. ok=false for near pairs
-// (use PairLoss) and unmatched geometry.
-func (s *Snapshot) PairLossFloor(src, listener int, from, to phy.Position) (float64, bool) {
+// PairLossOrFloor answers any pair of the captured geometry with one near-row
+// search: for a near pair (near=true) the stored loss PairLoss returns; for
+// a pair the snapshot deliberately omits (near=false) the snapshot's loss
+// bound — a floor every such pair's true loss provably reaches. ok=false
+// (and near=false) when either node is outside the snapshot or does not
+// match the captured geometry.
+func (s *Snapshot) PairLossOrFloor(src, listener int, from, to phy.Position) (loss float64, near, ok bool) {
 	if src < 0 || src >= s.n || listener < 0 || listener >= s.n {
-		return 0, false
+		return 0, false, false
 	}
 	if s.pos[src] != from || s.pos[listener] != to {
-		return 0, false
+		return 0, false, false
 	}
-	if s.nearRank(listener, int32(src)) >= 0 {
-		return 0, false
+	if r := s.nearRank(listener, int32(src)); r >= 0 {
+		return s.nearLoss[r], true, true
 	}
-	return s.lossBound, true
+	return s.lossBound, false, true
 }
 
 // nearRank returns src's index into the CSR arrays of listener's near row,

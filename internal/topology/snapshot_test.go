@@ -96,6 +96,9 @@ func TestSnapshotPairLossRejectsMismatch(t *testing.T) {
 	if _, ok := snap.PairLoss(0, 0, good, shifted); ok {
 		t.Error("shifted listener position accepted")
 	}
+	if _, near, ok := snap.PairLossOrFloor(0, 0, shifted, good); ok || near {
+		t.Errorf("shifted src position answered by PairLossOrFloor (near=%v ok=%v)", near, ok)
+	}
 	n := snap.NumNodes()
 	for _, pair := range [][2]int{{-1, 0}, {0, -1}, {n, 0}, {0, n}} {
 		if _, ok := snap.PairLoss(pair[0], pair[1], good, good); ok {

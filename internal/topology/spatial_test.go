@@ -111,8 +111,8 @@ func TestNearSnapshotMatchesDense(t *testing.T) {
 				if !ok || got != want {
 					t.Fatalf("pair (%d,%d): near PairLoss (%v,%v), reference %v", s, l, got, ok, want)
 				}
-				if _, okf := near.PairLossFloor(s, l, pos[s], pos[l]); okf {
-					t.Fatalf("pair (%d,%d) is near but PairLossFloor answered", s, l)
+				if got, isNear, ok := near.PairLossOrFloor(s, l, pos[s], pos[l]); !ok || !isNear || got != want {
+					t.Fatalf("near pair (%d,%d): PairLossOrFloor = (%v,%v,%v), want (%v,true,true)", s, l, got, isNear, ok, want)
 				}
 			} else {
 				farPairs++
@@ -123,9 +123,9 @@ func TestNearSnapshotMatchesDense(t *testing.T) {
 				if _, ok := near.PairLoss(s, l, pos[s], pos[l]); ok {
 					t.Fatalf("far pair (%d,%d): PairLoss answered", s, l)
 				}
-				floor, ok := near.PairLossFloor(s, l, pos[s], pos[l])
-				if !ok || floor != bound {
-					t.Fatalf("far pair (%d,%d): PairLossFloor = (%v,%v), want (%v,true)", s, l, floor, ok, float64(bound))
+				floor, isNear, ok := near.PairLossOrFloor(s, l, pos[s], pos[l])
+				if !ok || isNear || floor != bound {
+					t.Fatalf("far pair (%d,%d): PairLossOrFloor = (%v,%v,%v), want (%v,false,true)", s, l, floor, isNear, ok, float64(bound))
 				}
 			}
 			// Symmetry of the near/far split.
