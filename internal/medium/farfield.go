@@ -31,20 +31,21 @@ import (
 // worst-case fold error exceeds it.
 //
 // Why the fold, and its second link-row layout (rank rows, spill map,
-// farBacked), is kept: it pays for itself at city scale. On the perfbench
-// city-1k workload (1,000 nodes, 0.5 dB budget against the same cell run
-// exact), 10 alternating 30 s pairs on a 2-vCPU Xeon VM (go1.24, amd64),
-// every run correct with no failed operation:
+// farBacked, near-active lists), is kept: it pays for itself at city scale.
+// On the perfbench city-1k workload (1,000 nodes, 0.5 dB budget against
+// the same cell run exact), 5 alternating 30 s pairs on a 2-vCPU Xeon VM
+// (go1.24, amd64), every run correct with no failed operation:
 //
 //	                    folded    exact
-//	sim_s_per_wall_s      1.43     1.03   (fold faster in 10 of 10 pairs)
-//	slice_ms_p50           461      619
-//	live_heap_mb          30.5     73.4   (dense O(n²) link rows)
+//	sim_s_per_wall_s      6.10     1.71   (fold faster in 5 of 5 pairs)
+//	slice_ms_p50           104      367
+//	live_heap_mb          31.7     73.4   (dense O(n²) link rows)
 //
-// BenchmarkSensedPower5kNodes does not separate the two (median 16.9 ns/op
-// folded against 15.7 exact, fold faster in 5 of 10 pairs): its small
-// CCA working set is served from the epoch cache either way. The saving
-// is in link-row memory and in the cache-missing sums of a full cell.
+// A folded read costs O(near ∩ active): each backed listener keeps the
+// transmissions its sums visit on its own ID-ordered list, maintained
+// when a transmission goes on or off the air, so a read does no gather,
+// sort or search. BenchmarkInterferenceFoldedBusy times one such read
+// with 400 transmissions on the air.
 
 // WithFarField enables far-field folding with the given error budget in dB:
 // the maximum amount the aggregate far-field term may lift any listener's
@@ -166,7 +167,7 @@ func (m *Medium) listNear(listenerID int, tx *Transmission) {
 
 // untrackActive takes tx off the lists trackActive put it on when it leaves
 // the air. A listener attached after the transmission started was seeded
-// by Attach, and a detached one's list was cleared, so visiting the
+// by Attach, and a detached one's list was dropped, so visiting the
 // currently backed listeners finds every copy.
 func (m *Medium) untrackActive(tx *Transmission) {
 	if tx.farBounded {
