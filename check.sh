@@ -96,8 +96,9 @@ go run ./cmd/dcnbench -bench 'CellSetup' \
 	-benchtime 1x -pkgs ./internal/testbed -out /dev/null
 # City-scale smoke: one iteration proves the spatial-tier benchmarks still
 # set up (near snapshot build, far-field fold, the 5,000-listener fan-out,
-# the busy 1,000-node folded read) without paying measurement time.
-go run ./cmd/dcnbench -bench 'SensedPower5kNodes|OnAirFanout5kNodes|InterferenceFoldedBusy' \
+# the busy 1,000-node folded read, the churned folded reads served from
+# the near-active lists) without paying measurement time.
+go run ./cmd/dcnbench -bench 'SensedPower5kNodes|OnAirFanout5kNodes|InterferenceFoldedBusy|InterferenceFoldedChurn' \
 	-benchtime 1x -pkgs ./internal/medium -out /dev/null
 # Lint-gate smoke: one iteration of the whole-module analyzer run keeps
 # the interprocedural engine's cost visible in the bench artifacts.

@@ -147,7 +147,7 @@ func BenchmarkOnAirFanout(b *testing.B) {
 // near-field snapshot with the far-field fold active under a 0.5 dB
 // budget, and attaches one banded probe per node. It returns the medium,
 // kernel, attach IDs and per-node bands, with sinks at indices i*5.
-func cityBenchSetup(b *testing.B, networks int) (*sim.Kernel, *Medium, []int, []*bandedProbe) {
+func cityBenchSetup(b testing.TB, networks int) (*sim.Kernel, *Medium, []int, []*bandedProbe) {
 	b.Helper()
 	centers := make([]phy.MHz, 6)
 	for i := range centers {
@@ -297,4 +297,78 @@ func BenchmarkInterferenceFoldedBusy(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(m.ActiveCount()), "active")
+}
+
+// cityChurn drives the 1,000-node city cell of BenchmarkInterferenceFoldedBusy
+// the way receiving radios read it. advance puts one 64-byte frame on the
+// air from a source cycling through the city and runs the kernel on by a
+// 400th of its airtime, so about 400 frames stay up and, on average, one
+// comes down per step. read is one reader's interference read, the read
+// Radio.closeSegment makes on every on-air change, left out of which is
+// locked, a frame outside the churn's ID range.
+type cityChurn struct {
+	k       *sim.Kernel
+	m       *Medium
+	ids     []int
+	probes  []*bandedProbe
+	readers []int
+	locked  *Transmission
+	f       *frame.Frame
+	dt      sim.Time
+}
+
+// newCityChurn builds the cell with 50 readers spread over it and runs the
+// churn to its steady state.
+func newCityChurn(tb testing.TB) *cityChurn {
+	k, m, ids, probes := cityBenchSetup(tb, 200)
+	c := &cityChurn{
+		k: k, m: m, ids: ids, probes: probes,
+		locked: &Transmission{ID: math.MaxUint64},
+		f:      &frame.Frame{Type: frame.TypeData, Payload: make([]byte, 64)},
+	}
+	c.dt = sim.FromDuration(c.f.Airtime()) / 400
+	for j := 0; j < 50; j++ {
+		c.readers = append(c.readers, ids[j*len(ids)/50+2])
+	}
+	for i := 0; i < 800; i++ {
+		c.advance(i)
+	}
+	return c
+}
+
+// advance is step i of the churn.
+func (c *cityChurn) advance(i int) {
+	src := c.ids[(i*211)%len(c.ids)]
+	c.m.Transmit(src, c.probes[src].pos, 0, c.probes[src].band, c.f)
+	c.k.RunUntil(c.k.Now() + c.dt)
+}
+
+func (c *cityChurn) read(listener int) float64 {
+	return c.m.InterferenceMW(c.locked, listener, c.probes[listener].band)
+}
+
+// BenchmarkInterferenceFoldedChurn measures folded reads as a busy city
+// cell makes them. One op is one churn step, a frame going up and about
+// one coming down, followed by one read at each of 50 readers. Most
+// changes lie beyond a given reader's near field and leave its cached
+// total valid, a near frame going up extends the total over the new tail
+// entry, and a near frame coming down makes the next read walk the
+// reader's list. The split is reported per read.
+func BenchmarkInterferenceFoldedChurn(b *testing.B) {
+	c := newCityChurn(b)
+	before := c.m.folds
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.advance(800 + i)
+		for _, r := range c.readers {
+			_ = c.read(r)
+		}
+	}
+	b.StopTimer()
+	st := c.m.folds
+	reads := float64(b.N * len(c.readers))
+	b.ReportMetric(float64(st.hits-before.hits)/reads, "hits/read")
+	b.ReportMetric(float64(st.extends-before.extends)/reads, "extends/read")
+	b.ReportMetric(float64(st.visited-before.visited)/reads, "entries/read")
 }

@@ -144,3 +144,29 @@ func TestFoldedUnbackedFallbacks(t *testing.T) {
 		t.Fatalf("unbacked SensedPower = %v, want exact %v", got, want)
 	}
 }
+
+// TestFoldedReadsServedFromList churns the city cell the way receiving
+// radios read it and holds every read to the bits of a fresh walk of the
+// reader's near-active list. The read counters must show hits and tail
+// extensions: a fold that keyed its caches on the global on-air epoch
+// would return the same bits, every read a walk, and fail here.
+func TestFoldedReadsServedFromList(t *testing.T) {
+	c := newCityChurn(t)
+	before := c.m.folds
+	for i := 800; i < 1200; i++ {
+		c.advance(i)
+		for _, r := range c.readers {
+			got := c.read(r)
+			nl := &c.m.near[r]
+			if fresh := c.m.interferenceWalk(nl.entries, c.locked, r, c.probes[r].band, nl.far); got != fresh {
+				t.Fatalf("step %d reader %d: InterferenceMW = %v, a fresh walk of its list %v", i, r, got, fresh)
+			}
+		}
+	}
+	st := c.m.folds
+	hits, extends, walks := st.hits-before.hits, st.extends-before.extends, st.walks-before.walks
+	t.Logf("%d hits, %d extensions, %d walks", hits, extends, walks)
+	if hits == 0 || extends == 0 {
+		t.Fatalf("%d hits, %d extensions, %d walks: the churn's reads must hit and extend", hits, extends, walks)
+	}
+}

@@ -130,11 +130,12 @@ type Medium struct {
 	// on reuse, so steady-state churn allocates nothing.
 	txPool []*Transmission
 	// epoch counts on-air landscape changes (Transmit/finish/Detach).
-	// Cached per-listener power sums are valid only within the epoch they
-	// were computed in.
+	// A dense listener's cached power sums are valid only within the epoch
+	// they were computed in; a folded listener's key on its own near-active
+	// list instead (farfield.go).
 	epoch uint64
-	// sums holds each listener's cached sensing sums, indexed by attach
-	// ID in lockstep with listeners.
+	// sums holds each dense listener's cached sensing sums, indexed by
+	// attach ID in lockstep with listeners.
 	sums []listenerSums
 	// rows holds each listener's dense link cache: rows[listener][src] is
 	// the structure-of-arrays replacement for the old map[linkKey]
@@ -153,20 +154,27 @@ type Medium struct {
 
 	// Spatial tier (farfield.go). These fields exist only while folding is
 	// active (farBudgetDB > 0): spatial flags the folded mode,
-	// farUnitMW/farMaxCount/farN are derived constants, farBacked tracks
-	// (in lockstep with listeners) whether each listener's position is
-	// snapshot-backed, nearAct holds (in the same lockstep) each backed
-	// listener's ID-ordered near-active list — the transmissions its folded
-	// sums visit, each with its source's rank in the listener's link row —
-	// and spill backs link slots outside the rank-indexed rows.
+	// farUnitMW/farMaxCount/farN/farFloorDB are derived constants,
+	// farBacked tracks (in lockstep with listeners) whether each
+	// listener's position is snapshot-backed, near holds (in the same
+	// lockstep) each backed listener's ID-ordered near-active list — the
+	// transmissions its folded sums visit, each with its source's rank in
+	// the listener's link row — and the sums cached on it, spill backs
+	// link slots outside the rank-indexed rows, reach and reachTx hold the
+	// pair losses Reachable answers from during a bounded transmission's
+	// OnAir fan-out, and folds counts how folded reads were served.
 	farBudgetDB float64
 	spatial     bool
 	farUnitMW   float64
 	farMaxCount int
 	farN        int
+	farFloorDB  float64
 	farBacked   []bool
-	nearAct     [][]nearEntry
+	near        []nearList
 	spill       map[int64]*linkSlot
+	reach       []reachMark
+	reachTx     uint64
+	folds       foldStats
 }
 
 // sumCache is one listener's memoized SensedPower (or co-channel) result:
@@ -253,7 +261,7 @@ func (m *Medium) Attach(l Listener) int {
 	if m.spatial {
 		backed := m.snap.Backed(id, l.Position())
 		m.farBacked = append(m.farBacked, backed)
-		m.nearAct = append(m.nearAct, nil)
+		m.near = append(m.near, nearList{})
 		if backed {
 			m.seedNear(id)
 		}
@@ -291,10 +299,11 @@ func (m *Medium) Detach(id int) {
 	}
 	if m.spatial {
 		m.farBacked[id] = false
-		m.nearAct[id] = nil
+		m.near[id] = nearList{}
 	}
 	// The departed listener now measures Silent where a cached sum holds
-	// its old landscape; invalidate every cached sum.
+	// its old landscape; invalidate every cached dense sum. A departed
+	// listener is no longer folded, so its folded caches go with its list.
 	m.epoch++
 }
 
@@ -330,6 +339,9 @@ func (m *Medium) TransmitShaped(src int, pos phy.Position, power phy.DBm, freq, 
 	tx.Start = now
 	tx.End = now + sim.FromDuration(f.Airtime())
 	m.nextTxID++
+	if m.spatial {
+		m.markReach(tx)
+	}
 	m.fanout(tx, false)
 	m.active = append(m.active, tx)
 	if m.spatial {
@@ -436,7 +448,13 @@ func (m *Medium) RxPower(tx *Transmission, listenerID int) phy.DBm {
 	if l == nil {
 		return phy.Silent // detached listener measures nothing
 	}
-	lb := m.link(tx.Src, listenerID, tx.Pos, l.Position())
+	return m.rxFrom(m.link(tx.Src, listenerID, tx.Pos, l.Position()), tx, listenerID)
+}
+
+// rxFrom is RxPower from the pair's slot, its link budget already filled:
+// the one received-power expression both RxPower and the folded sums
+// evaluate.
+func (m *Medium) rxFrom(lb *linkSlot, tx *Transmission, listenerID int) phy.DBm {
 	base := tx.Power - phy.DBm(lb.loss)
 	return base + phy.DBm(lb.static) + phy.DBm(m.fade(tx, listenerID))
 }
@@ -481,13 +499,19 @@ func (m *Medium) link(src, listenerID int, from, to phy.Position) *linkSlot {
 		s = &m.linkRow(listenerID, src)[src]
 	}
 	if !s.known {
-		s.loss = m.lookupLoss(src, listenerID, from, to)
-		if m.staticSigma != 0 {
-			s.static = m.staticRNG.Gaussian(0, m.staticSigma)
-		}
-		s.known = true
+		m.fillBudget(s, src, listenerID, from, to)
 	}
 	return s
+}
+
+// fillBudget fills a slot's link budget: the pair's path loss and its
+// one-time shadowing draw.
+func (m *Medium) fillBudget(s *linkSlot, src, listenerID int, from, to phy.Position) {
+	s.loss = m.lookupLoss(src, listenerID, from, to)
+	if m.staticSigma != 0 {
+		s.static = m.staticRNG.Gaussian(0, m.staticSigma)
+	}
+	s.known = true
 }
 
 // lookupLoss resolves the pair's path loss: from the installed snapshot
@@ -547,7 +571,10 @@ func (m *Medium) fade(tx *Transmission, listenerID int) float64 {
 // A pair the snapshot omits is first tested against its certified loss
 // floor; when that bound alone cannot decide, the exact model loss — the
 // expression the snapshot stores for near pairs — is computed, so the
-// answer does not depend on where the snapshot's bound lies.
+// answer does not depend on where the snapshot's bound lies. During a
+// bounded transmission's OnAir fan-out under the fold, a backed
+// listener's pair comes from the marks markReach left (farfield.go)
+// instead of a near-row search; the answer is the same.
 func (m *Medium) Reachable(tx *Transmission, listenerID int) bool {
 	if listenerID < 0 || listenerID >= len(m.listeners) || m.snap == nil {
 		return true // unknown ID, or no precomputed losses to prove anything with
@@ -565,7 +592,13 @@ func (m *Medium) Reachable(tx *Transmission, listenerID int) bool {
 	if l == nil {
 		return true // detached: it hears nothing anyway
 	}
-	loss, near, ok := m.snap.PairLossOrFloor(tx.Src, listenerID, tx.Pos, l.Position())
+	var loss float64
+	var near, ok bool
+	if m.reachTx == tx.ID+1 && m.farBacked[listenerID] {
+		loss, near, ok = m.markedLoss(listenerID)
+	} else {
+		loss, near, ok = m.snap.PairLossOrFloor(tx.Src, listenerID, tx.Pos, l.Position())
+	}
 	if !ok {
 		return true // outside the snapshot geometry: no proof
 	}
@@ -590,7 +623,13 @@ const widebandRxWindowMHz = 2
 // receiver tuned to freq at listener l, i.e. RxPower reduced by the
 // adjacent-channel rejection for the frequency offset.
 func (m *Medium) InChannelPower(tx *Transmission, listenerID int, freq phy.MHz) phy.DBm {
-	rx := m.RxPower(tx, listenerID)
+	return m.inChannel(tx, m.RxPower(tx, listenerID), freq)
+}
+
+// inChannel reduces tx's received power rx at a listener to the portion a
+// receiver tuned to freq takes in: the rejection step InChannelPower and
+// the folded sums share.
+func (m *Medium) inChannel(tx *Transmission, rx phy.DBm, freq phy.MHz) phy.DBm {
 	if tx.Bandwidth > 0 {
 		// Wideband emitter: flat-PSD overlap model (an 802.15.4 receiver
 		// window is ~2 MHz wide).
@@ -669,10 +708,14 @@ func (m *Medium) rxMW(tx *Transmission, listenerID int) float64 {
 // The cache is exact, not approximate: a hit can only occur after the
 // identical ID-ordered loop already ran in the same epoch, so both the
 // returned bits and the lazy fading/shadowing RNG draw order match the
-// direct computation.
+// direct computation. A folded listener's sum is cached on its own
+// near-active list instead (farfield.go).
 func (m *Medium) SensedPower(listenerID int, freq phy.MHz) phy.DBm {
 	if m.listeners[listenerID] == nil {
 		return phy.Silent // detached listener measures nothing
+	}
+	if m.folded(listenerID) {
+		return m.sensedPowerFolded(listenerID, freq)
 	}
 	c := &m.sums[listenerID].sensed
 	if !c.valid || c.epoch != m.epoch || c.freq != freq {
@@ -686,13 +729,8 @@ func (m *Medium) SensedPower(listenerID int, freq phy.MHz) phy.DBm {
 	return c.dbm
 }
 
-// sensedPowerDirect is the reference ID-ordered sum behind SensedPower. With
-// the far-field fold active, a backed listener's sum runs on its near field
-// plus the certified aggregate of everything beyond it (farfield.go).
+// sensedPowerDirect is the reference ID-ordered sum behind SensedPower.
 func (m *Medium) sensedPowerDirect(listenerID int, freq phy.MHz) phy.DBm {
-	if m.folded(listenerID) {
-		return m.sensedPowerFolded(listenerID, freq)
-	}
 	total := phy.NoiseFloorMW
 	for _, tx := range m.active {
 		if tx.Src == listenerID {
@@ -709,10 +747,13 @@ func (m *Medium) sensedPowerDirect(listenerID int, freq phy.MHz) phy.DBm {
 // this quantity — its energy detector integrates the whole filter
 // bandwidth — so this accessor exists for the oracle CCA policy that
 // quantifies the paper's Section VII-C future-work upper bound.
-// Cached per (listener, tuning, epoch) exactly like SensedPower.
+// Cached exactly like SensedPower.
 func (m *Medium) SensedCoChannelPower(listenerID int, freq phy.MHz) phy.DBm {
 	if m.listeners[listenerID] == nil {
 		return phy.Silent // detached listener measures nothing
+	}
+	if m.folded(listenerID) {
+		return m.sensedCoChannelFolded(listenerID, freq)
 	}
 	c := &m.sums[listenerID].coch
 	if !c.valid || c.epoch != m.epoch || c.freq != freq {
@@ -727,13 +768,8 @@ func (m *Medium) SensedCoChannelPower(listenerID int, freq phy.MHz) phy.DBm {
 }
 
 // sensedCoChannelDirect is the reference ID-ordered sum behind
-// SensedCoChannelPower. The far-field fold is frequency-blind (its
-// certificate bounds total in-channel power), so a folded co-channel
-// reading carries the same one-sided error bound as SensedPower.
+// SensedCoChannelPower.
 func (m *Medium) sensedCoChannelDirect(listenerID int, freq phy.MHz) phy.DBm {
-	if m.folded(listenerID) {
-		return m.sensedCoChannelFolded(listenerID, freq)
-	}
 	total := phy.NoiseFloorMW
 	for _, tx := range m.active {
 		if tx.Src == listenerID || tx.Freq != freq {
@@ -749,8 +785,13 @@ func (m *Medium) sensedCoChannelDirect(listenerID int, freq phy.MHz) phy.DBm {
 // noise floor, the wanted transmission and the listener's own
 // transmissions are left out. Cached per (listener, tuning, wanted,
 // epoch): a receiver repeatedly probing the landscape around one locked
-// frame between on-air changes pays the loop once.
+// frame between on-air changes pays the loop once. A folded listener's
+// sum is cached on its own near-active list instead (farfield.go), so
+// on-air changes beyond its near field leave it valid.
 func (m *Medium) InterferenceMW(wanted *Transmission, listenerID int, freq phy.MHz) float64 {
+	if m.folded(listenerID) {
+		return m.interferenceFolded(wanted, listenerID, freq)
+	}
 	c := &m.sums[listenerID].interf
 	if !c.valid || c.epoch != m.epoch || c.freq != freq || c.wanted != wanted.ID {
 		*c = interfCache{
@@ -765,12 +806,8 @@ func (m *Medium) InterferenceMW(wanted *Transmission, listenerID int, freq phy.M
 }
 
 // interferenceDirect is the reference ID-ordered sum behind
-// InterferenceMW. It excludes the noise floor but not the far-field term: a
-// receiver's SINR denominator must account for the folded far field.
+// InterferenceMW. It excludes the noise floor.
 func (m *Medium) interferenceDirect(wanted *Transmission, listenerID int, freq phy.MHz) float64 {
-	if m.folded(listenerID) {
-		return m.interferenceFolded(wanted, listenerID, freq)
-	}
 	total := 0.0
 	for _, tx := range m.active {
 		if tx.ID == wanted.ID || tx.Src == listenerID {

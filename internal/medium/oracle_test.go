@@ -24,7 +24,9 @@ import (
 // order, the order the medium's own sums rely on. The same churn runs
 // against a dense medium, a near-field snapshot in exact mode
 // (bit-identical by construction), and the far-field fold (bounded
-// one-sided error).
+// one-sided error). Under the fold, every read is also held to the bits
+// of a fresh walk of the listener's own near-active list, so a cached
+// folded total that went stale inside the error band still fails.
 
 // trackerListener forwards air events to the test's own bookkeeping.
 type trackerListener struct {
@@ -196,8 +198,33 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 	// The test's own view of the air, maintained purely from listener
 	// callbacks.
 	var active []*Transmission
+	// Under the fold, Reachable answers a backed listener during a
+	// bounded transmission's fan-out from the marks markReach left; the
+	// tracker asserts, at every OnAir, that each listener's answer equals
+	// the near-row search's, which clearing reachTx selects.
+	var ids []int
+	markedAnswers := 0
+	checkReachable := func(tx *Transmission) {
+		for _, lid := range ids {
+			if m.reachTx == tx.ID+1 && m.folded(lid) {
+				markedAnswers++
+			}
+			got := m.Reachable(tx, lid)
+			marks := m.reachTx
+			m.reachTx = 0
+			want := m.Reachable(tx, lid)
+			m.reachTx = marks
+			if got != want {
+				t.Fatalf("t=%v tx %d listener %d: Reachable = %v, near-row search %v",
+					k.Now(), tx.ID, lid, got, want)
+			}
+		}
+	}
 	track := func(l *trackerListener) {
-		l.onAir = func(tx *Transmission) { active = append(active, tx) }
+		l.onAir = func(tx *Transmission) {
+			active = append(active, tx)
+			checkReachable(tx)
+		}
 		l.offAir = func(tx *Transmission) {
 			for i, a := range active {
 				if a == tx {
@@ -251,7 +278,6 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 	// Six listeners scattered over the field; listener 0 maintains the
 	// tracked set. One extra joins and one leaves mid-run.
 	pos := make(map[int]phy.Position)
-	var ids []int
 	attach := func(p phy.Position, tracked bool) int {
 		l := &trackerListener{pos: p}
 		if tracked {
@@ -317,10 +343,11 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 	// listener's list is empty.
 	unboundedSeen := 0
 	checkNearLists := func() {
-		if len(m.nearAct) != len(m.listeners) {
-			t.Fatalf("%d near-active lists for %d listeners", len(m.nearAct), len(m.listeners))
+		if len(m.near) != len(m.listeners) {
+			t.Fatalf("%d near-active lists for %d listeners", len(m.near), len(m.listeners))
 		}
-		for lid, got := range m.nearAct {
+		for lid := range m.near {
+			got := m.near[lid].entries
 			var want []*Transmission
 			var row []int32
 			if m.folded(lid) {
@@ -353,6 +380,17 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 						k.Now(), lid, e.tx.ID, e.rank, r)
 				}
 			}
+		}
+	}
+
+	// checkFresh holds a folded listener's reads — cache hits, extended
+	// totals and walks alike — to the bits of a fresh walk of its whole
+	// near-active list, whatever the fold's error band would allow.
+	checkFresh := func(what string, lid int, got, fresh float64) {
+		t.Helper()
+		if got != fresh {
+			t.Fatalf("t=%v listener %d: folded %s = %v, a fresh walk of its list %v (reads so far %+v)",
+				k.Now(), lid, what, got, fresh, m.folds)
 		}
 	}
 
@@ -393,12 +431,38 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 				}
 				return v
 			}
+			var nl *nearList
+			if m.folded(lid) {
+				nl = &m.near[lid]
+			}
 			for pass := 0; pass < 2; pass++ {
-				compare("SensedPower", lid, sample(m.SensedPower(lid, freq)), bruteSensed(lid, freq))
-				compare("SensedCoChannelPower", lid, sample(m.SensedCoChannelPower(lid, freq)), bruteCoChannel(lid, freq))
-				if len(active) > 0 {
-					wanted := active[0]
-					compareMW(lid, sample(phy.FromMilliwatts(m.InterferenceMW(wanted, lid, freq))), bruteInterference(wanted, lid, freq))
+				sensed := sample(m.SensedPower(lid, freq))
+				compare("SensedPower", lid, sensed, bruteSensed(lid, freq))
+				coch := sample(m.SensedCoChannelPower(lid, freq))
+				compare("SensedCoChannelPower", lid, coch, bruteCoChannel(lid, freq))
+				if nl != nil {
+					checkFresh("SensedPower", lid, float64(sensed),
+						float64(phy.FromMilliwatts(m.sensedWalk(nl.entries, lid, freq, phy.NoiseFloorMW+nl.far))))
+					checkFresh("SensedCoChannelPower", lid, float64(coch),
+						float64(phy.FromMilliwatts(m.coChannelWalk(nl.entries, lid, freq, phy.NoiseFloorMW+nl.far))))
+				}
+			}
+			// Every transmission on the air in turn as the wanted one,
+			// twice each. The first goes again last, so the next check
+			// opens on the wanted its interference cache holds and can
+			// extend that total.
+			if len(active) == 0 {
+				continue
+			}
+			wanteds := append(append([]*Transmission(nil), active...), active[0])
+			for _, wanted := range wanteds {
+				for pass := 0; pass < 2; pass++ {
+					got := m.InterferenceMW(wanted, lid, freq)
+					compareMW(lid, sample(phy.FromMilliwatts(got)), bruteInterference(wanted, lid, freq))
+					if nl != nil {
+						checkFresh("InterferenceMW", lid, got,
+							m.interferenceWalk(nl.entries, wanted, lid, freq, nl.far))
+					}
 				}
 			}
 		}
@@ -435,7 +499,9 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 	// the first to start ends first while the other three are still up.
 	// Sampling just after each end catches a removal that leaves the
 	// active set out of ID order; the sparse churn above rarely has more
-	// than two frames on the air.
+	// than two frames on the air. Sampling just after each start reads
+	// near-active lists that only grew since the previous start's sample,
+	// so the folded caches extend non-empty totals.
 	burst := testFrame(64)
 	airtime := burst.Airtime()
 	for b := 0; b < 8; b++ {
@@ -444,6 +510,7 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 			src, start := ids[j], at+time.Duration(j)*airtime/8
 			freq := channels[rng.Intn(len(channels))]
 			k.After(start, func() { m.Transmit(src, pos[src], -5, freq, burst) })
+			k.After(start+time.Microsecond, check)
 			k.After(start+airtime+time.Microsecond, check)
 		}
 	}
@@ -474,6 +541,18 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 	}
 	if folded && unboundedSeen == 0 {
 		t.Fatal("no unbounded transmission was on the air at a near-active list check")
+	}
+	// The fresh-walk check is only as strong as the reads it saw: each
+	// way of serving a folded read must have been checked.
+	if folded {
+		t.Logf("folded reads: %d hits, %d extensions, %d walks, %d entries visited; %d Reachable answers from marks",
+			m.folds.hits, m.folds.extends, m.folds.walks, m.folds.visited, markedAnswers)
+	}
+	if folded && (m.folds.hits == 0 || m.folds.extends == 0 || m.folds.walks == 0) {
+		t.Fatalf("folded reads %+v: a hit, an extension and a walk must each be checked", m.folds)
+	}
+	if folded && markedAnswers == 0 {
+		t.Fatal("no Reachable answer came from the fan-out marks")
 	}
 	if ownSamples == 0 {
 		t.Fatal("no listener was sampled while transmitting — the own-signal skip was never exercised")

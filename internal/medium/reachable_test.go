@@ -105,6 +105,56 @@ func TestReachableDecisionTable(t *testing.T) {
 		})
 	}
 	t.Run("sound against model loss", reachableMatchesModelLoss)
+	t.Run("fan-out marks match the search", reachableMarksMatchSearch)
+}
+
+// reachableMarksMatchSearch puts one frame from every node of a spread-out
+// line on the air under the fold, one after another, for emitters inside
+// and outside the certificate. At every OnAir each listener's Reachable
+// answer must equal the near-row search's, which clearing reachTx selects.
+// The frames overlap, so every listener holds marks left by earlier
+// frames' rows, and those must not answer for later frames.
+func reachableMarksMatchSearch(t *testing.T) {
+	xs := []float64{0, 3, 17, 40, 95, 180, 260, 290, 330, 610, 1200}
+	emitters := []struct {
+		power     phy.DBm
+		bandwidth phy.MHz
+	}{{0, 0}, {-25, 0}, {phy.MaxTxPower + 1, 0}, {0, 22}}
+	reach := map[bool]int{} // marked answers by outcome
+	for _, bound := range []float64{100, 134, 140, 170} {
+		snap := reachLine(t, bound, xs...)
+		k := sim.NewKernel(1)
+		m := New(k, WithSnapshot(snap), WithFarField(60))
+		var ids []int
+		for _, x := range xs {
+			ids = append(ids, m.Attach(&trackerListener{pos: phy.Position{X: x}}))
+		}
+		m.listeners[ids[0]].(*trackerListener).onAir = func(tx *Transmission) {
+			for _, lid := range ids {
+				got := m.Reachable(tx, lid)
+				marks := m.reachTx
+				m.reachTx = 0
+				want := m.Reachable(tx, lid)
+				m.reachTx = marks
+				if got != want {
+					t.Fatalf("bound %g dB, tx %d from node %d → listener %d: Reachable = %v, near-row search %v",
+						bound, tx.ID, tx.Src, lid, got, want)
+				}
+				if marks == tx.ID+1 {
+					reach[got]++
+				}
+			}
+		}
+		for _, e := range emitters {
+			for src, x := range xs {
+				m.TransmitShaped(ids[src], phy.Position{X: x}, e.power, 2458, e.bandwidth, testFrame(16))
+			}
+		}
+		k.Run()
+	}
+	if reach[true] == 0 || reach[false] == 0 {
+		t.Fatalf("answers from marks: %d reachable, %d culled; the sweep must exercise both", reach[true], reach[false])
+	}
 }
 
 // reachableMatchesModelLoss sweeps every ordered pair of a spread-out line
