@@ -83,6 +83,7 @@ func (inj *Injector) NewJammer(m *medium.Medium, cfg JammerConfig) *Jammer {
 		rng:    inj.kernel.Stream(fmt.Sprintf("fault.jammer.%d", len(inj.jammers))),
 	}
 	j.id = m.Attach(j)
+	m.SetWake(j.id, medium.WakeOwn, 0) // its handlers are empty
 	inj.jammers = append(inj.jammers, j)
 	return j
 }

@@ -101,9 +101,11 @@ func (p *bandedProbe) OffAir(tx *Transmission) {}
 
 // BenchmarkOnAirFanout measures event dissemination on a wide-band
 // deployment: 16 channels across 2405-2480 MHz with six idle listeners
-// each, transmissions hopping over all of them. Every OnAir/OffAir
-// notifies all 96 listeners (callbacks/event = 96). The sub-benchmark
-// keeps its historical name so recorded baselines still compare.
+// each, transmissions hopping over all of them. The probes declare no wake
+// class, so they stay WakeAll and every OnAir/OffAir notifies all 96
+// (callbacks/event = 96): the delivery bitsets walked at full population.
+// The sub-benchmark keeps its historical name so recorded baselines still
+// compare.
 func BenchmarkOnAirFanout(b *testing.B) {
 	b.Run("unfiltered", func(b *testing.B) {
 		k := sim.NewKernel(1)
@@ -218,9 +220,10 @@ func BenchmarkSensedPower5kNodes(b *testing.B) {
 }
 
 // BenchmarkOnAirFanout5kNodes measures event dissemination at city scale:
-// every transmission notifies all 5,000 listeners, whose handlers are
-// no-ops as an idle radio's are for an off-band event. The callbacks/event
-// metric reports the population walked.
+// every transmission notifies all 5,000 listeners, WakeAll probes whose
+// handlers are no-ops. The callbacks/event metric reports the population
+// walked; BenchmarkOnAirFanoutCityRadios in the radio package measures
+// the fan-out among radios that declare their wake classes.
 func BenchmarkOnAirFanout5kNodes(b *testing.B) {
 	k, m, ids, probes := cityBenchSetup(b, 1000)
 	f := &frame.Frame{Type: frame.TypeData, Payload: make([]byte, 16)}

@@ -37,9 +37,9 @@ import (
 // (go1.24, amd64), every run correct with no failed operation:
 //
 //	                    folded    exact
-//	sim_s_per_wall_s      8.68     1.85   (fold faster in 5 of 5 pairs)
-//	slice_ms_p50          70.8      339
-//	live_heap_mb          32.0     73.4   (dense O(n²) link rows)
+//	sim_s_per_wall_s     18.25     3.29   (fold faster in 5 of 5 pairs)
+//	slice_ms_p50          33.6      187
+//	live_heap_mb          32.8     74.2   (dense O(n²) link rows)
 //
 // A folded read costs O(entries changed since the listener's last read).
 // Each backed listener keeps the transmissions its sums visit on its own
@@ -241,39 +241,41 @@ func (m *Medium) markedLoss(listenerID int) (loss float64, near, ok bool) {
 // fold's certificate covers (narrowband, legal power, source backed by the
 // snapshot) goes to the listeners in its source's near row — rows are
 // symmetric, so those are exactly the listeners whose near row holds the
-// source. Any other transmission cannot be folded and goes to every backed
-// listener. IDs only grow, so appending keeps every list in ID order. It
-// runs after the OnAir fan-out, like the append to the active set;
-// markReach classified tx before it.
+// source, and the snapshot's transpose gives the source's rank in each of
+// their rows. Any other transmission cannot be folded and goes to every
+// backed listener, ranked by a search. IDs only grow, so appending keeps
+// every list in ID order. It runs after the OnAir fan-out, like the append
+// to the active set; markReach classified tx before it.
 func (m *Medium) trackActive(tx *Transmission) {
 	if tx.farBounded {
 		near, _ := m.snap.NearRow(tx.Src)
-		for _, l := range near {
+		ranks := m.snap.NearRanks(tx.Src)
+		for i, l := range near {
 			if int(l) < len(m.farBacked) && m.farBacked[l] {
-				m.listNear(int(l), tx)
+				m.listNear(int(l), tx, ranks[i])
 			}
 		}
 		return
 	}
 	for l, backed := range m.farBacked {
 		if backed {
-			m.listNear(l, tx)
+			near, _ := m.snap.NearRow(l)
+			m.listNear(l, tx, int32(rankOf(near, int32(tx.Src))))
 		}
 	}
 }
 
-// listNear appends tx to the backed listener's near-active list, ranking
-// its source once here so the folded sums index the listener's link row
-// directly. The row is grown to the near-row length before any entry can
-// index it.
-func (m *Medium) listNear(listenerID int, tx *Transmission) {
-	near, _ := m.snap.NearRow(listenerID)
-	r := rankOf(near, int32(tx.Src))
-	if r >= 0 {
+// listNear appends tx to the backed listener's near-active list with its
+// source's rank in the listener's near row (-1 when not near), so the
+// folded sums index the listener's link row directly. The row is grown to
+// the near-row length before any entry can index it.
+func (m *Medium) listNear(listenerID int, tx *Transmission, rank int32) {
+	if rank >= 0 {
+		near, _ := m.snap.NearRow(listenerID)
 		m.spatialRow(listenerID, len(near))
 	}
 	nl := &m.near[listenerID]
-	nl.entries = append(nl.entries, nearEntry{tx: tx, rank: int32(r)})
+	nl.entries = append(nl.entries, nearEntry{tx: tx, rank: rank})
 }
 
 // untrackActive takes tx off the lists trackActive put it on when it leaves
@@ -312,8 +314,8 @@ func (m *Medium) seedNear(listenerID int) {
 	near, _ := m.snap.NearRow(listenerID)
 	m.near[listenerID].far = float64(m.farN-len(near)) * m.farUnitMW
 	for _, tx := range m.active {
-		if !tx.farBounded || rankOf(near, int32(tx.Src)) >= 0 {
-			m.listNear(listenerID, tx)
+		if r := rankOf(near, int32(tx.Src)); !tx.farBounded || r >= 0 {
+			m.listNear(listenerID, tx, int32(r))
 		}
 	}
 }
@@ -359,12 +361,20 @@ func (m *Medium) nearSlot(listenerID int, e nearEntry) *linkSlot {
 }
 
 // nearRx is RxPower for a near-active entry from the slot it holds,
-// filling the link budget on the pair's first use exactly as link does.
-func (m *Medium) nearRx(s *linkSlot, tx *Transmission, listenerID int) phy.DBm {
+// filling the link budget on the pair's first use as link does. A bounded
+// transmission's source and the listener both sit at their snapshot
+// positions, so the loss Snapshot.PairLoss would find is the one at the
+// entry's rank in the listener's near row.
+func (m *Medium) nearRx(s *linkSlot, e nearEntry, listenerID int) phy.DBm {
 	if !s.known {
-		m.fillBudget(s, tx.Src, listenerID, tx.Pos, m.listeners[listenerID].Position())
+		if e.rank >= 0 && e.tx.farBounded {
+			_, loss := m.snap.NearRow(listenerID)
+			m.fillBudget(s, loss[e.rank])
+		} else {
+			m.fillBudget(s, m.lookupLoss(e.tx.Src, listenerID, e.tx.Pos, m.listeners[listenerID].Position()))
+		}
 	}
-	return m.rxFrom(s, tx, listenerID)
+	return m.rxFrom(s, e.tx, listenerID)
 }
 
 // sensedPowerFolded is SensedPower for a backed listener. The far-field
@@ -392,7 +402,7 @@ func (m *Medium) sensedWalk(entries []nearEntry, listenerID int, freq phy.MHz, t
 		}
 		s := m.nearSlot(listenerID, e)
 		if !s.hasIn || s.inFreq != freq {
-			s.inMW = m.inChannel(e.tx, m.nearRx(s, e.tx, listenerID), freq).Milliwatts()
+			s.inMW = m.inChannel(e.tx, m.nearRx(s, e, listenerID), freq).Milliwatts()
 			s.inFreq = freq
 			s.hasIn = true
 		}
@@ -422,7 +432,7 @@ func (m *Medium) coChannelWalk(entries []nearEntry, listenerID int, freq phy.MHz
 		}
 		s := m.nearSlot(listenerID, e)
 		if !s.hasRx {
-			s.rxMW = m.nearRx(s, e.tx, listenerID).Milliwatts()
+			s.rxMW = m.nearRx(s, e, listenerID).Milliwatts()
 			s.hasRx = true
 		}
 		total += s.rxMW
@@ -452,7 +462,7 @@ func (m *Medium) interferenceWalk(entries []nearEntry, wanted *Transmission, lis
 		}
 		s := m.nearSlot(listenerID, e)
 		if !s.hasIn || s.inFreq != freq {
-			s.inMW = m.inChannel(e.tx, m.nearRx(s, e.tx, listenerID), freq).Milliwatts()
+			s.inMW = m.inChannel(e.tx, m.nearRx(s, e, listenerID), freq).Milliwatts()
 			s.inFreq = freq
 			s.hasIn = true
 		}

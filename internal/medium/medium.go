@@ -6,6 +6,9 @@
 package medium
 
 import (
+	"fmt"
+	"math/bits"
+
 	"nonortho/internal/frame"
 	"nonortho/internal/phy"
 	"nonortho/internal/sim"
@@ -13,8 +16,10 @@ import (
 )
 
 // Listener is anything attached to the medium — typically a radio. The
-// medium calls OnAir/OffAir for every transmission in the world, including
-// the listener's own (compare Transmission.Src with the listener's ID).
+// medium calls OnAir/OffAir for the events the listener's wake class
+// selects (SetWake). The default, WakeAll, is every transmission in the
+// world, including the listener's own (compare Transmission.Src with the
+// listener's ID).
 type Listener interface {
 	// Position locates the listener's antenna. The value must not change
 	// while the listener is attached: link budgets are computed once per
@@ -52,8 +57,9 @@ type Transmission struct {
 	// listener's link row): it is consumed lazily from a shared stream at
 	// first use, and pinning it here keeps the draw order — and therefore
 	// every downstream draw — identical however often the power caches
-	// thrash. Lazily sized; zeroed and reused when the transmission is
-	// recycled through the free-list.
+	// thrash. Lazily sized and reused, uncleared, when the transmission is
+	// recycled through the free-list: a slot is keyed by the transmission
+	// it was drawn for.
 	perL []txListenerCache
 
 	// farBounded marks a transmission the far-field fold's certificate
@@ -66,8 +72,39 @@ type Transmission struct {
 // memoized power values that used to sit beside it live in the listener's
 // dense link row (linkSlot), keyed by transmission ID.
 type txListenerCache struct {
-	fade    float64 // per-transmission fading draw, dB
-	hasFade bool
+	fade float64 // per-transmission fading draw, dB
+	// tx is the ID plus one of the transmission fade was drawn for; zero
+	// (a fresh slot) matches none, since medium IDs never reach MaxUint64.
+	tx uint64
+}
+
+// Wake is a listener's delivery class: the on-air events the medium calls
+// it for. A listener declares the class its handlers can act on, so the
+// fan-out skips exactly the callbacks that would return without effect.
+type Wake uint8
+
+const (
+	// WakeAll delivers every OnAir and OffAir: the class at Attach.
+	WakeAll Wake = iota
+	// WakeTuned delivers the OnAirs on one channel center frequency and
+	// the listener's own OffAirs.
+	WakeTuned
+	// WakeOwn delivers only the listener's own OffAirs.
+	WakeOwn
+)
+
+// tunedSet is the WakeTuned listeners of one frequency, a bitset over
+// attach IDs.
+type tunedSet struct {
+	freq phy.MHz
+	bits []uint64
+}
+
+// wakeMark is one listener's current class and, for WakeTuned, the index
+// of its frequency's tunedSet.
+type wakeMark struct {
+	class Wake
+	set   int32
 }
 
 // Option configures a Medium.
@@ -120,6 +157,17 @@ type Medium struct {
 	staticRNG   *sim.RNG
 
 	listeners []Listener
+	// wakeAll and tuned are the fan-out's delivery sets, bitsets over
+	// attach IDs: wakeAll holds the WakeAll listeners and each tuned entry
+	// one frequency's WakeTuned listeners. Entries are appended, never
+	// removed, so a set's index is stable. wake holds each listener's
+	// class, in lockstep with listeners.
+	wakeAll []uint64
+	tuned   []tunedSet
+	wake    []wakeMark
+	// wakeGen counts class changes (SetWake, Detach), so the fan-out
+	// re-reads its delivery word only after a callback made one.
+	wakeGen uint64
 	// active holds the in-flight transmissions in ascending ID order, the
 	// order every power sum visits them in: floating-point sums must be
 	// evaluated in the same order every run. Transmit appends (IDs only
@@ -252,12 +300,15 @@ func New(k *sim.Kernel, opts ...Option) *Medium {
 }
 
 // Attach registers a listener and returns its medium ID. From then on the
-// listener receives every OnAir/OffAir event until it detaches.
+// listener receives every OnAir/OffAir event until it declares a narrower
+// class with SetWake or detaches.
 func (m *Medium) Attach(l Listener) int {
 	m.listeners = append(m.listeners, l)
 	m.sums = append(m.sums, listenerSums{})
 	m.rows = append(m.rows, nil)
+	m.wake = append(m.wake, wakeMark{class: WakeAll})
 	id := len(m.listeners) - 1
+	setBit(&m.wakeAll, id)
 	if m.spatial {
 		backed := m.snap.Backed(id, l.Position())
 		m.farBacked = append(m.farBacked, backed)
@@ -280,6 +331,9 @@ func (m *Medium) Detach(id int) {
 		return
 	}
 	m.listeners[id] = nil
+	m.clearWake(id)
+	m.wake[id] = wakeMark{class: WakeOwn}
+	m.wakeGen++
 	// Zero the departed listener's link row and its slots in every
 	// in-flight transmission's fading cache: a detached listener measures
 	// Silent, and a stale cached power must not survive to contradict
@@ -310,6 +364,79 @@ func (m *Medium) Detach(id int) {
 // Attached reports whether the ID currently belongs to a live listener.
 func (m *Medium) Attached(id int) bool {
 	return id >= 0 && id < len(m.listeners) && m.listeners[id] != nil
+}
+
+// SetWake moves a live listener to delivery class w; freq is the channel
+// WakeTuned listens on and is ignored otherwise. A handler may call it
+// during a fan-out: a listener later in attach-ID order than the one being
+// called is delivered the event exactly when its new class selects it. It
+// allocates only to add a frequency's set or to grow one over a higher ID
+// than it covered. Unknown and detached IDs are ignored.
+func (m *Medium) SetWake(id int, w Wake, freq phy.MHz) {
+	if w > WakeOwn {
+		panic(fmt.Sprintf("medium: unknown wake class %d", w))
+	}
+	if !m.Attached(id) {
+		return
+	}
+	cur := m.wake[id]
+	set := int32(-1)
+	if w == WakeTuned {
+		if cur.class == WakeTuned && m.tuned[cur.set].freq == freq {
+			return
+		}
+		set = m.tunedIndex(freq)
+	} else if cur.class == w {
+		return
+	}
+	m.clearWake(id)
+	m.wakeGen++
+	switch w {
+	case WakeAll:
+		setBit(&m.wakeAll, id)
+	case WakeTuned:
+		setBit(&m.tuned[set].bits, id)
+	}
+	m.wake[id] = wakeMark{class: w, set: set}
+}
+
+// clearWake takes the listener out of whichever delivery set holds it.
+func (m *Medium) clearWake(id int) {
+	switch cur := m.wake[id]; cur.class {
+	case WakeAll:
+		m.wakeAll[id>>6] &^= 1 << (id & 63)
+	case WakeTuned:
+		m.tuned[cur.set].bits[id>>6] &^= 1 << (id & 63)
+	}
+}
+
+// findTuned returns the index of freq's tunedSet, or -1 when no listener
+// has been tuned to freq. A run tunes to a handful of channels, so a scan
+// beats a map and allocates nothing.
+func (m *Medium) findTuned(freq phy.MHz) int32 {
+	for i := range m.tuned {
+		if m.tuned[i].freq == freq {
+			return int32(i)
+		}
+	}
+	return -1
+}
+
+// tunedIndex is findTuned, appending an empty set on first use.
+func (m *Medium) tunedIndex(freq phy.MHz) int32 {
+	if i := m.findTuned(freq); i >= 0 {
+		return i
+	}
+	m.tuned = append(m.tuned, tunedSet{freq: freq})
+	return int32(len(m.tuned) - 1)
+}
+
+// setBit sets bit id in the bitset, growing it to cover id.
+func setBit(s *[]uint64, id int) {
+	for len(*s) <= id>>6 {
+		*s = append(*s, 0)
+	}
+	(*s)[id>>6] |= 1 << (id & 63)
 }
 
 // Transmit puts a frame on the air from listener src at the given power and
@@ -353,7 +480,8 @@ func (m *Medium) TransmitShaped(src int, pos phy.Position, power phy.DBm, freq, 
 }
 
 // newTransmission takes a recycled Transmission off the free-list (resetting
-// it and its zeroed perL slice) or allocates a fresh one. Deterministic LIFO:
+// it and keeping its perL capacity, whose slots are keyed by transmission
+// ID and need no clearing) or allocates a fresh one. Deterministic LIFO:
 // the medium is single-threaded by design.
 func (m *Medium) newTransmission() *Transmission {
 	n := len(m.txPool)
@@ -363,18 +491,16 @@ func (m *Medium) newTransmission() *Transmission {
 	tx := m.txPool[n-1]
 	m.txPool[n-1] = nil
 	m.txPool = m.txPool[:n-1]
-	perL := tx.perL[:cap(tx.perL)]
-	for i := range perL {
-		perL[i] = txListenerCache{}
-	}
-	*tx = Transmission{perL: perL[:0]}
+	*tx = Transmission{perL: tx.perL[:0]}
 	return tx
 }
 
 // DisseminationStats counts dissemination work: Events is the number of
 // OnAir/OffAir fan-outs performed, Callbacks the listener notifications
-// invoked. Every live listener hears every event, so Callbacks/Events is
-// the mean live population (BenchmarkOnAirFanout).
+// invoked. Callbacks/Events is the mean number of listeners each event
+// woke: the live population only when every listener is WakeAll
+// (BenchmarkOnAirFanout), far fewer among radios, which narrow their class
+// to what their state can act on.
 type DisseminationStats struct {
 	Events    uint64
 	Callbacks uint64
@@ -383,30 +509,106 @@ type DisseminationStats struct {
 // DisseminationStats returns the medium's fan-out counters.
 func (m *Medium) DisseminationStats() DisseminationStats { return m.dstats }
 
-// fanout delivers one OnAir (off=false) or OffAir (off=true) event to every
-// live listener in ascending attach-ID order. Non-orthogonal channels leak
-// into their neighbours, so a receiving radio must observe every event; an
-// idle one rejects what it cannot lock on to in its own handler. Listeners
-// detached by an earlier handler of the same event are skipped. The two
-// loops keep the event kind out of the per-listener path, which is the
-// medium's hottest loop in large cells.
+// fanout delivers one OnAir (off=false) or OffAir (off=true) event, in
+// ascending attach-ID order, to the live listeners whose class selects it:
+// the WakeAll listeners, plus the WakeTuned listeners of tx's frequency for
+// an OnAir, or tx's source for an OffAir. Non-orthogonal channels leak into
+// their neighbours, so a receiving radio stays WakeAll and observes every
+// event. When a callback changes any class (wakeGen moved), the current
+// delivery word is re-read with the IDs already passed masked off, so a
+// handler's SetWake or Detach on a later listener takes effect within the
+// same event. Listeners attached during the fan-out are not called.
 func (m *Medium) fanout(tx *Transmission, off bool) {
 	m.dstats.Events++
+	n := len(m.listeners)
+	set, own := int32(-1), -1
 	if off {
-		for _, l := range m.listeners {
-			if l != nil {
-				m.dstats.Callbacks++
-				l.OffAir(tx)
-			}
-		}
-		return
+		own = tx.Src
+	} else {
+		set = m.findTuned(tx.Freq)
 	}
-	for _, l := range m.listeners {
-		if l != nil {
+	for w := 0; w<<6 < n; w++ {
+		limit := ^uint64(0) // the word's IDs below n
+		if rem := n - w<<6; rem < 64 {
+			limit = 1<<rem - 1
+		}
+		for x := m.wakeWord(w, set, own) & limit; x != 0; {
+			var b int
+			if off {
+				b = m.deliverOff(tx, w<<6, x)
+			} else {
+				b = m.deliverOn(tx, w<<6, x)
+			}
+			if b == 64 {
+				break
+			}
+			if !off && set < 0 {
+				set = m.findTuned(tx.Freq) // the callback may have tuned a listener to it
+			}
+			x = m.wakeWord(w, set, own) & limit &^ (2<<b - 1)
+		}
+	}
+}
+
+// deliverOn calls OnAir, in ascending ID order, on the listeners of one
+// delivery word: base is the word's first ID and x its bits. It returns
+// the bit of the last listener called when that callback changed a wake
+// class, so the caller re-reads the word past it, and 64 when the word is
+// done. deliverOff is its OffAir twin. A function of its own keeps
+// fanout's per-word state out of the registers each callback clobbers, and
+// one copy per event kind keeps the kind out of the per-listener loop: a
+// single loop holding both calls ran BenchmarkOnAirFanout 25% slower.
+func (m *Medium) deliverOn(tx *Transmission, base int, x uint64) int {
+	gen, ls := m.wakeGen, m.listeners[base:]
+	for x != 0 {
+		b := bits.TrailingZeros64(x)
+		x &= x - 1
+		if l := ls[b]; l != nil {
 			m.dstats.Callbacks++
 			l.OnAir(tx)
+			if m.wakeGen != gen {
+				return b
+			}
 		}
 	}
+	return 64
+}
+
+// deliverOff is deliverOn for OffAir. A nil entry is a detached source,
+// whose own bit the OffAir word carries.
+func (m *Medium) deliverOff(tx *Transmission, base int, x uint64) int {
+	gen, ls := m.wakeGen, m.listeners[base:]
+	for x != 0 {
+		b := bits.TrailingZeros64(x)
+		x &= x - 1
+		if l := ls[b]; l != nil {
+			m.dstats.Callbacks++
+			l.OffAir(tx)
+			if m.wakeGen != gen {
+				return b
+			}
+		}
+	}
+	return 64
+}
+
+// wakeWord is word w of the union of delivery sets an event wakes: the
+// WakeAll set, the tuned set at index set (none when negative) and the bit
+// of listener own (none when negative).
+func (m *Medium) wakeWord(w int, set int32, own int) uint64 {
+	var x uint64
+	if w < len(m.wakeAll) {
+		x = m.wakeAll[w]
+	}
+	if set >= 0 {
+		if b := m.tuned[set].bits; w < len(b) {
+			x |= b[w]
+		}
+	}
+	if own >= 0 && own>>6 == w {
+		x |= 1 << (own & 63)
+	}
+	return x
 }
 
 func (m *Medium) finish(tx *Transmission) {
@@ -499,15 +701,15 @@ func (m *Medium) link(src, listenerID int, from, to phy.Position) *linkSlot {
 		s = &m.linkRow(listenerID, src)[src]
 	}
 	if !s.known {
-		m.fillBudget(s, src, listenerID, from, to)
+		m.fillBudget(s, m.lookupLoss(src, listenerID, from, to))
 	}
 	return s
 }
 
 // fillBudget fills a slot's link budget: the pair's path loss and its
 // one-time shadowing draw.
-func (m *Medium) fillBudget(s *linkSlot, src, listenerID int, from, to phy.Position) {
-	s.loss = m.lookupLoss(src, listenerID, from, to)
+func (m *Medium) fillBudget(s *linkSlot, loss float64) {
+	s.loss = loss
 	if m.staticSigma != 0 {
 		s.static = m.staticRNG.Gaussian(0, m.staticSigma)
 	}
@@ -529,8 +731,8 @@ func (m *Medium) lookupLoss(src, listenerID int, from, to phy.Position) float64 
 
 // slot returns tx's fading-cache slot for the listener, growing the table
 // to the medium's current listener count on first touch. Recycled
-// transmissions regrow into their previous (zeroed) capacity without
-// allocating.
+// transmissions regrow into their previous capacity without allocating;
+// the slots there belong to earlier transmissions and do not match tx.
 func (m *Medium) slot(tx *Transmission, listenerID int) *txListenerCache {
 	if listenerID >= len(tx.perL) {
 		n := len(m.listeners)
@@ -550,9 +752,9 @@ func (m *Medium) fade(tx *Transmission, listenerID int) float64 {
 		return 0
 	}
 	s := m.slot(tx, listenerID)
-	if !s.hasFade {
+	if s.tx != tx.ID+1 {
 		s.fade = m.fadingRNG.Gaussian(0, m.fadingSigma)
-		s.hasFade = true
+		s.tx = tx.ID + 1
 	}
 	return s.fade
 }

@@ -229,7 +229,7 @@ func TestFadingDrawIsStablePerTransmission(t *testing.T) {
 
 	tx := m.Transmit(idSrc, src.pos, 0, 2460, testFrame(16))
 	first := m.RxPower(tx, idDst)
-	if !tx.perL[idDst].hasFade {
+	if tx.perL[idDst].tx != tx.ID+1 {
 		t.Fatal("fading draw not cached on the transmission")
 	}
 	if again := m.RxPower(tx, idDst); again != first {

@@ -122,6 +122,8 @@ func NewStation(k *sim.Kernel, m *medium.Medium, name string, pos phy.Position, 
 		rng:      k.Stream("net80211." + name),
 		WatchSrc: -1,
 	}
+	// The station stays WakeAll: it locks on to off-channel frames within
+	// LockRange, so no single-channel class covers what it acts on.
 	s.id = m.Attach(s)
 	return s
 }
@@ -233,6 +235,7 @@ func NewInterferer(k *sim.Kernel, m *medium.Medium, pos phy.Position, ch int, po
 		IdleTime: 20 * time.Millisecond,
 	}
 	i.id = m.Attach(i)
+	m.SetWake(i.id, medium.WakeOwn, 0) // its handlers are empty
 	return i
 }
 

@@ -77,4 +77,5 @@ func (r *Radio) EnergyReport() EnergyReport {
 func (r *Radio) setState(s State) {
 	r.energy.account(r.state, r.cfg.TxPower, r.kernel.Now())
 	r.state = s
+	r.wake()
 }

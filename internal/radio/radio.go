@@ -233,7 +233,26 @@ func New(k *sim.Kernel, m *medium.Medium, cfg Config) *Radio {
 	r.cfg.CCAThreshold, _ = phy.ClampCCAThreshold(cfg.CCAThreshold)
 	r.energy.account(r.state, cfg.TxPower, k.Now()) // start the meter
 	r.id = m.Attach(r)
+	r.wake()
 	return r
+}
+
+// wake declares to the medium the on-air events the radio's handlers can
+// act on, given its state and tuning: exactly the events OnAir and OffAir
+// do not return from at once. A receiving radio acts on every event, since
+// any change of the landscape closes a segment of its reception; an idle
+// one only on preambles on its own channel; a transmitting or powered-off
+// one only on its own OffAir, which every class delivers. The one place
+// the mapping lives: setState, SetFreq and New call it.
+func (r *Radio) wake() {
+	switch r.state {
+	case StateRX:
+		r.medium.SetWake(r.id, medium.WakeAll, 0)
+	case StateIdle:
+		r.medium.SetWake(r.id, medium.WakeTuned, r.cfg.Freq)
+	default:
+		r.medium.SetWake(r.id, medium.WakeOwn, 0)
+	}
 }
 
 // ID returns the radio's medium attachment ID.
@@ -310,6 +329,7 @@ func (r *Radio) SetFreq(f phy.MHz) {
 	}
 	r.abortRx()
 	r.cfg.Freq = f
+	r.wake()
 }
 
 // SetOff powers the radio down, aborting any reception in progress. Used

@@ -474,14 +474,17 @@ func TestNoCaptureWithoutMargin(t *testing.T) {
 	}
 }
 
-// TestEveryRadioHearsEveryEvent pins the medium's one fan-out path: with
-// radios split across two channels, one transmission's OnAir and OffAir
-// each reach every attached radio, including the idle ones on the other
-// channel, whose handlers reject the event themselves.
-func TestEveryRadioHearsEveryEvent(t *testing.T) {
+// TestEventsReachOnlyListenersThatAct pins which listeners the medium's
+// fan-out calls. With radios split across two channels, one transmission's
+// OnAir reaches the 31 idle radios on its channel, which all lock on; its
+// OffAir reaches those 31 receivers and the source. The 32 idle radios on
+// the other channel, whose handlers would reject both events, are never
+// called. A listener that declares no class hears both events.
+func TestEventsReachOnlyListenersThatAct(t *testing.T) {
 	k, m := world(t)
 	const n = 64
 	radios := make([]*Radio, n)
+	received := 0
 	for i := range radios {
 		freq := phy.MHz(2460)
 		if i%2 == 1 {
@@ -492,13 +495,18 @@ func TestEveryRadioHearsEveryEvent(t *testing.T) {
 			Freq:    freq,
 			Address: frame.Address(i + 1),
 		})
+		radios[i].OnReceive = func(Reception) { received++ }
 	}
+	m.Attach(silentSource{pos: phy.Position{X: 20}})
 	if _, err := radios[0].Transmit(dataFrame(16, 1, 2)); err != nil {
 		t.Fatal(err)
 	}
 	k.Run()
-	st := m.DisseminationStats()
-	if st.Events != 2 || st.Callbacks != 2*n {
-		t.Fatalf("DisseminationStats = %+v, want 2 events and %d callbacks (every radio, OnAir and OffAir)", st, 2*n)
+	if received != n/2-1 {
+		t.Fatalf("receptions = %d, want %d (every other co-channel radio)", received, n/2-1)
+	}
+	const want = (n/2 - 1) + n/2 + 2 // OnAir to the co-channel idle radios, OffAir to them and the source, both to the plain listener
+	if st := m.DisseminationStats(); st.Events != 2 || st.Callbacks != want {
+		t.Fatalf("DisseminationStats = %+v, want 2 events and %d callbacks", st, want)
 	}
 }

@@ -80,6 +80,7 @@ func (s *Scanner) OffAir(tx *medium.Transmission) { _ = tx }
 func NewScanner(k *sim.Kernel, m *medium.Medium, pos phy.Position, cfg Config) *Scanner {
 	s := &Scanner{kernel: k, medium: m, pos: pos, cfg: cfg.withDefaults()}
 	s.id = m.Attach(s)
+	m.SetWake(s.id, medium.WakeOwn, 0) // it polls energy and ignores air events
 	return s
 }
 

@@ -1,8 +1,9 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"nonortho/internal/phy"
 	"nonortho/internal/sim"
@@ -43,6 +44,9 @@ type Snapshot struct {
 	nearOff   []int32
 	nearIDs   []int32
 	nearLoss  []float64
+	// nearRanks is the rows' transpose: for CSR entry e of row i,
+	// nearRanks[e] is i's index in the row of nearIDs[e].
+	nearRanks []int32
 	maxFar    int // max over listeners of (n - row length)
 }
 
@@ -96,7 +100,7 @@ func SnapshotFromSpecsNear(nets []NetworkSpec, model phy.PathLossModel, lossBoun
 		grid.VisitWithin(s.pos[i], s.nearRange, func(id int32, d float64) {
 			row = append(row, nearEntry{id, d})
 		})
-		sort.Slice(row, func(a, b int) bool { return row[a].id < row[b].id })
+		slices.SortFunc(row, func(a, b nearEntry) int { return cmp.Compare(a.id, b.id) })
 		for _, e := range row {
 			s.nearIDs = append(s.nearIDs, e.id)
 			s.nearLoss = append(s.nearLoss, model.Loss(e.d))
@@ -104,6 +108,21 @@ func SnapshotFromSpecsNear(nets []NetworkSpec, model phy.PathLossModel, lossBoun
 		s.nearOff[i+1] = int32(len(s.nearIDs))
 		if far := s.n - len(row); far > s.maxFar {
 			s.maxFar = far
+		}
+	}
+	// Rows are symmetric, so visiting them in ascending i meets each row
+	// l's entries in order, once per neighbour: a cursor per row hands out
+	// the ranks, and checks the symmetry as it goes.
+	s.nearRanks = make([]int32, len(s.nearIDs))
+	cursor := make([]int32, s.n)
+	for i := 0; i < s.n; i++ {
+		for e := s.nearOff[i]; e < s.nearOff[i+1]; e++ {
+			l := s.nearIDs[e]
+			if c := s.nearOff[l] + cursor[l]; c >= s.nearOff[l+1] || s.nearIDs[c] != int32(i) {
+				return nil, fmt.Errorf("topology: near rows not symmetric at pair (%d, %d)", i, l)
+			}
+			s.nearRanks[e] = cursor[l]
+			cursor[l]++
 		}
 	}
 	return s, nil
@@ -184,6 +203,17 @@ func (s *Snapshot) NearRow(listener int) (ids []int32, loss []float64) {
 	}
 	lo, hi := s.nearOff[listener], s.nearOff[listener+1]
 	return s.nearIDs[lo:hi], s.nearLoss[lo:hi]
+}
+
+// NearRanks returns the transpose of listener's near row: entry j is
+// listener's index in the row of NearRow(listener)'s j-th node, so a
+// source's near row yields its rank in each neighbour's row without a
+// search. A read-only view; nil for an out-of-range listener.
+func (s *Snapshot) NearRanks(listener int) []int32 {
+	if listener < 0 || listener >= s.n {
+		return nil
+	}
+	return s.nearRanks[s.nearOff[listener]:s.nearOff[listener+1]]
 }
 
 // Backed reports whether attach ID id is captured in the snapshot at

@@ -97,6 +97,16 @@ func TestNearSnapshotMatchesDense(t *testing.T) {
 		if _, ok := inRow[int32(l)]; !ok {
 			t.Fatalf("row %d omits the node itself", l)
 		}
+		// The transpose: each neighbour's row holds l at the recorded rank.
+		ranks := near.NearRanks(l)
+		if len(ranks) != len(ids) {
+			t.Fatalf("row %d: %d ids, %d ranks", l, len(ids), len(ranks))
+		}
+		for i, id := range ids {
+			if back, _ := near.NearRow(int(id)); back[ranks[i]] != int32(l) {
+				t.Fatalf("row %d entry %d: node %d's row holds %d at rank %d, want %d", l, i, id, back[ranks[i]], ranks[i], l)
+			}
+		}
 		for s := 0; s < n; s++ {
 			// The reference: the expression the medium computes lazily.
 			want := model.Loss(pos[s].DistanceTo(pos[l]))
