@@ -375,3 +375,31 @@ func BenchmarkInterferenceFoldedChurn(b *testing.B) {
 	b.ReportMetric(float64(st.extends-before.extends)/reads, "extends/read")
 	b.ReportMetric(float64(st.visited-before.visited)/reads, "entries/read")
 }
+
+// BenchmarkInterferenceBoundChurn is BenchmarkInterferenceFoldedChurn with
+// the reads Radio.closeSegment makes on a folded listener: a bound-first
+// read (InterferenceBoundsMW), and the exact read only when the bound
+// cannot certify a zero-error segment for a -50 dBm locked signal. A near
+// frame coming down leaves the cached bound valid, so the split reported
+// per read shows how rarely a read walks and how rarely it misses.
+func BenchmarkInterferenceBoundChurn(b *testing.B) {
+	c := newCityChurn(b)
+	zeroMW := (phy.DBm(-50) - phy.ZeroBERSINR).Milliwatts()
+	before := c.m.folds
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.advance(800 + i)
+		for _, r := range c.readers {
+			if _, hi := c.m.InterferenceBoundsMW(c.locked, r, c.probes[r].band); hi+phy.NoiseFloorMW > zeroMW {
+				_ = c.read(r)
+			}
+		}
+	}
+	b.StopTimer()
+	st := c.m.folds
+	reads := float64(b.N * len(c.readers))
+	b.ReportMetric(float64(st.walks-before.walks)/reads, "walks/read")
+	b.ReportMetric(float64(st.boundMisses-before.boundMisses)/reads, "misses/read")
+	b.ReportMetric(float64(st.visited-before.visited)/reads, "entries/read")
+}

@@ -1,8 +1,10 @@
 package medium
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"nonortho/internal/phy"
@@ -46,15 +48,29 @@ import (
 // ID-ordered list, maintained when a transmission goes on or off the air,
 // and caches its sums on that list rather than on the medium-wide epoch:
 // a read after changes beyond the listener's near field is a hit, a read
-// after appends only adds the new tail, and only a read after a removal
-// walks the list. On city-1k cells (seeds 1–78, medians per cell) the
-// 237k folded reads split 41% hits, 31% extensions and 28% walks, and
-// visit 1.62M list entries where walking on every read visited 5.23M.
-// In 10 alternating 30 s pairs on the VM above, sim_s_per_wall_s read
-// 8.28 against 6.26 with a walk on every read, faster in 10 of 10.
+// after appends only adds the new tail, and an exact read after a removal
+// walks the list. A removal is almost always of the list's oldest entry,
+// so it only advances the list's head.
+//
+// A receiving radio reads its interference bound-first: its segment
+// certificate only compares the sum with a threshold, and rounded
+// addition of non-negative terms is monotone, so a cached total from
+// which terms were since removed still bounds the sum from above. The
+// bound read adds only the entries appended since, each through mwUpper
+// (a table read) instead of a power of ten, and the exact sum is read
+// only when the bound cannot certify the segment. The certificates, the
+// fading draws and every output stay bit-identical. Over city-1k seeds
+// 1–10 (1 s warmup, 1 s measured) the folded reads visit 5.97M list
+// entries instead of 16.2M, walk 96k times instead of 677k, and convert
+// 1.73M powers of ten instead of 3.63M; 69k of 2.34M bound reads are
+// followed by an exact read. In 10 alternating 30 s pairs on the VM
+// above, city-1k's sim_s_per_wall_s read 30.8, against 24.8 when every
+// read was exact and a deletion shifted the list, faster in 10 of 10.
+//
 // BenchmarkInterferenceFoldedBusy times a walk with 400 transmissions on
-// the air, and BenchmarkInterferenceFoldedChurn times reads as a busy
-// cell makes them.
+// the air, BenchmarkInterferenceFoldedChurn times exact reads as a busy
+// cell makes them, and BenchmarkInterferenceBoundChurn the same cell read
+// bound-first.
 
 // WithFarField enables far-field folding with the given error budget in dB:
 // the maximum amount the aggregate far-field term may lift any listener's
@@ -120,19 +136,26 @@ func (m *Medium) resolveFarField() {
 }
 
 // nearList is a backed listener's near-active list and the folded sums
-// cached on it. Entries are only appended at the tail (IDs only grow) or
-// deleted, and every deletion bumps removed, so while removed is unchanged
-// the list has only grown: a sum cached over its first n entries is still
-// the sum of those entries, and the entries after n are exactly the
-// appends since.
+// cached on it. The list is entries[head:]. Entries are only appended at
+// the tail (IDs only grow) or deleted, and every deletion bumps removed. A
+// deletion at the head, the usual one, only advances head; push slides
+// the live entries down once the dead prefix fills a quarter of the
+// backing array.
 type nearList struct {
 	entries []nearEntry
+	head    int
+	// upto is one past the ID of the list's last entry, 0 when empty.
+	upto    uint64
 	removed uint64
 	// far is the aggregate worst-case far-field power at the listener in
 	// milliwatts: one fade-free maximum-power transmission at the floor
 	// loss per far source. Every folded sum starts from it.
 	far                  float64
 	sensed, coch, interf foldSum
+	// interfHi is the bound-first interference reads' total, kept apart
+	// from the exact one so an exact read after a bound miss can still
+	// extend interf.
+	interfHi foldSum
 }
 
 // nearEntry is one transmission on a backed listener's near-active list,
@@ -144,76 +167,158 @@ type nearEntry struct {
 	rank int32
 }
 
+// live returns the list's entries in ID order.
+func (nl *nearList) live() []nearEntry { return nl.entries[nl.head:] }
+
+// push appends e at the tail.
+func (nl *nearList) push(e nearEntry) {
+	if n := len(nl.entries); n == cap(nl.entries) && 4*nl.head >= n && nl.head > 0 {
+		k := copy(nl.entries, nl.entries[nl.head:])
+		clear(nl.entries[k:])
+		nl.entries = nl.entries[:k]
+		nl.head = 0
+	}
+	nl.entries = append(nl.entries, e)
+	nl.upto = e.tx.ID + 1
+}
+
+// remove deletes tx from the list, keeping it in ID order, and bumps
+// removed.
+func (nl *nearList) remove(tx *Transmission) {
+	live := nl.live()
+	for i, e := range live {
+		if e.tx != tx {
+			continue
+		}
+		if i == 0 {
+			nl.entries[nl.head] = nearEntry{}
+			nl.head++
+			if nl.head == len(nl.entries) {
+				nl.entries, nl.head = nl.entries[:0], 0
+			}
+		} else {
+			last := len(live) - 1
+			copy(live[i:], live[i+1:])
+			live[last] = nearEntry{}
+			nl.entries = nl.entries[:nl.head+last]
+		}
+		if i == len(live)-1 {
+			nl.upto = 0
+			if live := nl.live(); len(live) > 0 {
+				nl.upto = live[len(live)-1].tx.ID + 1
+			}
+		}
+		nl.removed++
+		return
+	}
+}
+
 // foldSum is one folded sum memoized on a near-active list: the raw
 // milliwatt total (far-field term and, for the sensing sums, the noise
-// floor included) over the list's first n entries, for one receiver
-// tuning and — InterferenceMW only — one left-out wanted transmission,
-// valid while the list's removal count is removed. dbm caches the sensing
-// sums' conversion of mw.
+// floor included) over the list's entries with IDs below upto, for one
+// receiver tuning and — InterferenceMW only — one left-out wanted
+// transmission. The total is exact while the list's removal count is
+// still removed and bound is clear; only nearList.interfHi sets bound.
+// Otherwise it is a certified upper bound of the exact sum over the
+// entries below upto still on the list: rounded addition is monotone in
+// each operand and every term is non-negative, so a left-to-right sum
+// that skips removed terms, or adds an upper bound in place of a term,
+// never exceeds the one that added the terms exactly. dbm caches the
+// sensing sums' conversion of mw.
 type foldSum struct {
 	freq    phy.MHz
 	wanted  uint64
 	removed uint64
-	n       int
+	upto    uint64
 	mw      float64
 	dbm     phy.DBm
 	valid   bool
+	bound   bool
 }
 
 // foldStats counts how folded reads were served: from the cache unchanged
 // (hits), by summing only the entries appended since the cached read
 // (extends), or by a walk of the whole list (walks), and the list entries
-// the extensions and walks visited.
+// the extensions and walks visited. boundReads counts the reads that
+// asked only for an upper bound, and boundMisses the exact interference
+// reads that found a bound cached under their key: the bound before them
+// could not decide.
 type foldStats struct {
 	hits, extends, walks, visited uint64
+	boundReads, boundMisses       uint64
 }
 
-// resume returns where a folded read keyed (freq, wanted) continues on nl:
-// ok=false on a hit, when c already holds the answer; otherwise the index
-// of the first entry to add and the total to add it to. A read extends
-// the cached total only when nothing was removed since and the list grew,
-// so it performs exactly the additions, in the same order, that a walk of
-// the whole list from base would: the result is bit-identical, and so is
-// the order of the lazy fading draws, since the cached entries' draws were
+// since returns the index in live, the list's entries, of the first entry
+// with an ID of at least upto: the entries appended since a sum that
+// covered the IDs below upto. Appends only add higher IDs, so the scan
+// from the tail stops after them, and a list with nothing newer answers
+// without one.
+func (nl *nearList) since(live []nearEntry, upto uint64) int {
+	i := len(live)
+	if nl.upto <= upto {
+		return i
+	}
+	for i > 0 && live[i-1].tx.ID >= upto {
+		i--
+	}
+	return i
+}
+
+// resume returns where an exact folded read keyed (freq, wanted) continues
+// on nl: ok=false on a hit, when c already holds the answer; otherwise the
+// index of the first entry to add and the total to add it to. A read
+// extends the cached total only when nothing was removed since, so it
+// performs exactly the additions, in the same order, that a walk of the
+// whole list from base would: the result is bit-identical, and so is the
+// order of the lazy fading draws, since the cached entries' draws were
 // made by the read that cached them.
 func (m *Medium) resume(nl *nearList, c *foldSum, freq phy.MHz, wanted uint64, base float64) (start int, total float64, ok bool) {
-	if c.valid && c.removed == nl.removed && c.freq == freq && c.wanted == wanted {
-		switch n := len(nl.entries); {
-		case c.n == n:
+	live := nl.live()
+	if c.serves(nl, freq, wanted) {
+		if start = nl.since(live, c.upto); start == len(live) {
 			m.folds.hits++
 			return 0, 0, false
-		case c.n < n:
-			m.folds.extends++
-			m.folds.visited += uint64(n - c.n)
-			return c.n, c.mw, true
 		}
+		m.folds.extends++
+		m.folds.visited += uint64(len(live) - start)
+		return start, c.mw, true
 	}
 	m.folds.walks++
-	m.folds.visited += uint64(len(nl.entries))
+	m.folds.visited += uint64(len(live))
 	return 0, base, true
 }
 
+// serves reports whether c holds an exact total under the key (freq,
+// wanted) that appends since can extend.
+func (c *foldSum) serves(nl *nearList, freq phy.MHz, wanted uint64) bool {
+	return c.valid && !c.bound && c.removed == nl.removed && c.freq == freq && c.wanted == wanted
+}
+
 // store records a folded read's total over the whole of nl in c.
-func (c *foldSum) store(nl *nearList, freq phy.MHz, wanted uint64, mw float64) {
-	*c = foldSum{freq: freq, wanted: wanted, removed: nl.removed, n: len(nl.entries), mw: mw, valid: true}
+func (c *foldSum) store(nl *nearList, freq phy.MHz, wanted uint64, mw float64, bound bool) {
+	*c = foldSum{freq: freq, wanted: wanted, removed: nl.removed, upto: nl.upto, mw: mw, valid: true, bound: bound}
 }
 
 // reachMark is the pair loss markReach leaves for one listener in the
-// source's near row of a bounded transmission; tx is that transmission's
-// ID plus one, so the zero mark belongs to none.
+// source's near row of a bounded transmission, with the source's rank in
+// the listener's near row; tx is that transmission's ID plus one, so the
+// zero mark belongs to none.
 type reachMark struct {
 	tx   uint64
 	loss float64
+	rank int32
 }
 
 // markReach classifies a freshly transmitted tx for the fold and, when the
 // fold's certificate covers it, marks every listener in its source's near
-// row with the pair's loss just before the OnAir fan-out. Rows are
-// symmetric with identical losses, so during the fan-out Reachable answers
-// a backed listener from its mark (near, that loss) or, unmarked, from the
-// certified floor (far) — what Snapshot.PairLossOrFloor would return —
-// without a near-row search. The marks belong to tx until the next
-// bounded transmission is marked.
+// row with the pair's loss and the source's rank in the listener's row
+// just before the OnAir fan-out. Rows are symmetric with identical losses,
+// so during the fan-out Reachable answers a backed listener from its mark
+// (near, that loss) or, unmarked, from the certified floor (far) — what
+// Snapshot.PairLossOrFloor would return — and a lock-on's RxPower finds
+// the pair's link slot at the marked rank, both without a near-row
+// search. The marks belong to tx until the next bounded transmission is
+// marked.
 func (m *Medium) markReach(tx *Transmission) {
 	tx.farBounded = tx.Bandwidth == 0 && tx.Power <= phy.MaxTxPower &&
 		m.snap.Backed(tx.Src, tx.Pos)
@@ -222,8 +327,9 @@ func (m *Medium) markReach(tx *Transmission) {
 	}
 	m.reachTx = tx.ID + 1
 	near, loss := m.snap.NearRow(tx.Src)
+	ranks := m.snap.NearRanks(tx.Src)
 	for i, l := range near {
-		m.reach[l] = reachMark{tx: m.reachTx, loss: loss[i]}
+		m.reach[l] = reachMark{tx: m.reachTx, loss: loss[i], rank: ranks[i]}
 	}
 }
 
@@ -274,37 +380,30 @@ func (m *Medium) listNear(listenerID int, tx *Transmission, rank int32) {
 		near, _ := m.snap.NearRow(listenerID)
 		m.spatialRow(listenerID, len(near))
 	}
-	nl := &m.near[listenerID]
-	nl.entries = append(nl.entries, nearEntry{tx: tx, rank: rank})
+	m.near[listenerID].push(nearEntry{tx: tx, rank: rank})
 }
 
 // untrackActive takes tx off the lists trackActive put it on when it leaves
-// the air, bumping each list's removal count. A listener attached after
-// the transmission started was seeded by Attach, and a detached one's list
-// was dropped, so visiting the currently backed listeners finds every
-// copy.
+// the air, bumping each list's removal count. It is the oldest entry on
+// almost every list, so the deletion is a head advance. A listener
+// attached after the transmission started was seeded by Attach, and a
+// detached one's list was dropped, so visiting the currently backed
+// listeners finds every copy.
 func (m *Medium) untrackActive(tx *Transmission) {
 	if tx.farBounded {
 		near, _ := m.snap.NearRow(tx.Src)
 		for _, l := range near {
 			if int(l) < len(m.farBacked) && m.farBacked[l] {
-				m.unlistNear(int(l), tx)
+				m.near[l].remove(tx)
 			}
 		}
 		return
 	}
 	for l, backed := range m.farBacked {
 		if backed {
-			m.unlistNear(l, tx)
+			m.near[l].remove(tx)
 		}
 	}
-}
-
-// unlistNear deletes tx from the backed listener's near-active list.
-func (m *Medium) unlistNear(listenerID int, tx *Transmission) {
-	nl := &m.near[listenerID]
-	nl.entries = removeEntry(nl.entries, tx)
-	nl.removed++
 }
 
 // seedNear starts the near-active list of a backed listener at Attach:
@@ -320,20 +419,6 @@ func (m *Medium) seedNear(listenerID int) {
 	}
 }
 
-// removeEntry is removeTx for near-active lists: an in-place delete that
-// keeps the list in ID order.
-func removeEntry(s []nearEntry, tx *Transmission) []nearEntry {
-	for i, e := range s {
-		if e.tx == tx {
-			last := len(s) - 1
-			copy(s[i:], s[i+1:])
-			s[last] = nearEntry{}
-			return s[:last]
-		}
-	}
-	return s
-}
-
 // The folded sums. A backed listener's sums visit its near-active list —
 // in ascending ID order, the order the exact sums visit the active set in —
 // and add the certified aggregate of everything beyond it (nearList.far).
@@ -342,6 +427,13 @@ func removeEntry(s []nearEntry, tx *Transmission) []nearEntry {
 // adds the new tail. Each entry's link slot is taken by its stored rank;
 // only a source outside the near row (an unbounded transmission from
 // afar) goes through spatialSlot to the spill map.
+//
+// The interference sum also has a bound-first read
+// (interferenceBoundFolded), for a caller that only compares the sum with
+// a threshold: it adds to the cached total, exact or bound, only the
+// entries appended since, and fills a slot it visits first with the
+// entry's in-channel level in dBm, whose conversion (inLazy) it replaces
+// by mwUpper. The exact reads convert such a slot when they visit it.
 
 // nearSlot returns the listener's link slot for a near-active entry, rekeyed
 // to the entry's transmission exactly as powerSlot rekeys.
@@ -385,7 +477,7 @@ func (m *Medium) sensedPowerFolded(listenerID int, freq phy.MHz) phy.DBm {
 	c := &nl.sensed
 	start, total, ok := m.resume(nl, c, freq, 0, phy.NoiseFloorMW+nl.far)
 	if ok {
-		c.store(nl, freq, 0, m.sensedWalk(nl.entries[start:], listenerID, freq, total))
+		c.store(nl, freq, 0, m.sensedWalk(nl.live()[start:], listenerID, freq, total), false)
 		c.dbm = phy.FromMilliwatts(c.mw)
 	}
 	return c.dbm
@@ -405,6 +497,10 @@ func (m *Medium) sensedWalk(entries []nearEntry, listenerID int, freq phy.MHz, t
 			s.inMW = m.inChannel(e.tx, m.nearRx(s, e, listenerID), freq).Milliwatts()
 			s.inFreq = freq
 			s.hasIn = true
+			s.inLazy = false
+		} else if s.inLazy {
+			s.inMW = phy.DBm(s.inMW).Milliwatts()
+			s.inLazy = false
 		}
 		total += s.inMW
 	}
@@ -417,7 +513,7 @@ func (m *Medium) sensedCoChannelFolded(listenerID int, freq phy.MHz) phy.DBm {
 	c := &nl.coch
 	start, total, ok := m.resume(nl, c, freq, 0, phy.NoiseFloorMW+nl.far)
 	if ok {
-		c.store(nl, freq, 0, m.coChannelWalk(nl.entries[start:], listenerID, freq, total))
+		c.store(nl, freq, 0, m.coChannelWalk(nl.live()[start:], listenerID, freq, total), false)
 		c.dbm = phy.FromMilliwatts(c.mw)
 	}
 	return c.dbm
@@ -442,13 +538,24 @@ func (m *Medium) coChannelWalk(entries []nearEntry, listenerID int, freq phy.MHz
 
 // interferenceFolded is InterferenceMW for a backed listener. It includes
 // the far-field term: a receiver's SINR denominator must account for the
-// folded far field.
+// folded far field. It never extends a bound: after a bound read under its
+// key it adopts that read's total only when it is exact, and otherwise (a
+// bound miss) resumes from its own exact total, which a removal since
+// makes it walk.
 func (m *Medium) interferenceFolded(wanted *Transmission, listenerID int, freq phy.MHz) float64 {
 	nl := &m.near[listenerID]
-	c := &nl.interf
+	c, h := &nl.interf, &nl.interfHi
+	switch {
+	case h.serves(nl, freq, wanted.ID):
+		if !c.serves(nl, freq, wanted.ID) || c.upto < h.upto {
+			*c = *h
+		}
+	case h.valid && h.freq == freq && h.wanted == wanted.ID:
+		m.folds.boundMisses++
+	}
 	start, total, ok := m.resume(nl, c, freq, wanted.ID, nl.far)
 	if ok {
-		c.store(nl, freq, wanted.ID, m.interferenceWalk(nl.entries[start:], wanted, listenerID, freq, total))
+		c.store(nl, freq, wanted.ID, m.interferenceWalk(nl.live()[start:], wanted, listenerID, freq, total), false)
 	}
 	return c.mw
 }
@@ -465,17 +572,153 @@ func (m *Medium) interferenceWalk(entries []nearEntry, wanted *Transmission, lis
 			s.inMW = m.inChannel(e.tx, m.nearRx(s, e, listenerID), freq).Milliwatts()
 			s.inFreq = freq
 			s.hasIn = true
+			s.inLazy = false
+		} else if s.inLazy {
+			s.inMW = phy.DBm(s.inMW).Milliwatts()
+			s.inLazy = false
 		}
 		total += s.inMW
 	}
 	return total
 }
 
-// folded reports whether the listener's power sums run on the folded path:
+// interferenceBoundFolded returns an upper bound of interferenceFolded's
+// value for the same arguments, and caches it under their key in
+// interfHi. It resumes from the more recent of the exact total and the
+// bound total that bound the sum (coversWanted), adding only the entries
+// appended since, so a removal costs nothing; with neither it walks the
+// list from the far-field term. Either way it visits every entry an exact
+// read would visit first, filling its slot in the same order, so the lazy
+// fading and shadowing draws match the exact read's. The total stays
+// exact while nothing was removed and no bound was added: a total for
+// another wanted transmission is then one that left nothing out.
+func (m *Medium) interferenceBoundFolded(wanted *Transmission, listenerID int, freq phy.MHz) float64 {
+	nl := &m.near[listenerID]
+	c, h := &nl.interf, &nl.interfHi
+	live := nl.live()
+	m.folds.boundReads++
+	var from *foldSum
+	if h.valid && h.freq == freq && h.coversWanted(live, wanted.ID) {
+		from = h
+	}
+	if c.valid && c.removed == nl.removed && c.freq == freq && c.coversWanted(live, wanted.ID) && (from == nil || c.upto >= h.upto) {
+		from = c
+	}
+	start, total, exact := 0, nl.far, true
+	if from != nil {
+		start, total, exact = nl.since(live, from.upto), from.mw, !from.bound && from.removed == nl.removed
+		if start == len(live) {
+			m.folds.hits++
+			*h = *from
+			h.wanted, h.bound, h.removed = wanted.ID, !exact, nl.removed
+			return total
+		}
+		m.folds.extends++
+	} else {
+		m.folds.walks++
+	}
+	m.folds.visited += uint64(len(live) - start)
+	total, exact = m.interferenceBoundWalk(live[start:], wanted, listenerID, freq, total, exact)
+	h.store(nl, freq, wanted.ID, total, !exact)
+	return total
+}
+
+// coversWanted reports whether c's interference total, with the entries
+// appended since added, bounds the sum that leaves out wanted: it was
+// cached for wanted, or wanted is newer than the entries it covers and the
+// transmission it left out, when it covers that one, has left the list.
+// The total then holds a term, or a bound of one, for every entry below
+// upto still on the list, and the read that cached it made their draws.
+func (c *foldSum) coversWanted(live []nearEntry, wanted uint64) bool {
+	if c.wanted == wanted {
+		return true
+	}
+	if wanted < c.upto {
+		return false
+	}
+	if c.wanted >= c.upto {
+		return true
+	}
+	_, found := slices.BinarySearchFunc(live, c.wanted, func(e nearEntry, id uint64) int {
+		return cmp.Compare(e.tx.ID, id)
+	})
+	return !found
+}
+
+// interferenceBoundWalk is interferenceWalk that fills a slot it visits
+// first with the entry's in-channel level in dBm (inLazy) and adds
+// mwUpper of a lazy slot; exact reports whether every term it added was
+// exact and exact was set on entry.
+func (m *Medium) interferenceBoundWalk(entries []nearEntry, wanted *Transmission, listenerID int, freq phy.MHz, total float64, exact bool) (float64, bool) {
+	for _, e := range entries {
+		if e.tx.ID == wanted.ID || e.tx.Src == listenerID {
+			continue
+		}
+		s := m.nearSlot(listenerID, e)
+		if !s.hasIn || s.inFreq != freq {
+			s.inMW = float64(m.inChannel(e.tx, m.nearRx(s, e, listenerID), freq))
+			s.inFreq = freq
+			s.hasIn = true
+			s.inLazy = true
+		}
+		if s.inLazy {
+			total += mwUpper(phy.DBm(s.inMW))
+			exact = false
+		} else {
+			total += s.inMW
+		}
+	}
+	return total, exact
+}
+
+// mwUpper returns an upper bound of d.Milliwatts() without a power of
+// ten: the table value at the grid point d rounds up to, which includes a
+// relative slack of 2⁻⁴⁰. For d at or below a grid point g, d/10 rounds
+// to at most g/10, so d.Milliwatts() can exceed g.Milliwatts() only by
+// pow10's own rounding, a few units in the last place (about 2⁻⁵⁰ each
+// way), far below the slack. TestMWUpperBoundsMilliwatts checks every
+// grid point and 10⁷ levels. The grid spans the in-channel levels a cell
+// produces at 1/16 dB, a bound at most 1.5% high; a level outside it,
+// Silent included, is converted exactly.
+func mwUpper(d phy.DBm) float64 {
+	x := float64(d) * mwGridStep
+	if !(x > mwGridLo-1 && x <= mwGridHi) {
+		return d.Milliwatts()
+	}
+	k := int(x) // truncation: the ceiling for x ≤ 0
+	if float64(k) < x {
+		k++
+	}
+	return mwGrid[k-mwGridLo]
+}
+
+// The mwUpper grid: mwGridStep points per dB from mwGridLo/mwGridStep to
+// mwGridHi/mwGridStep dBm. The table is a fixed-size array, so it lives
+// with the program's static data, not on the heap.
+const (
+	mwGridStep = 16
+	mwGridLo   = -320 * mwGridStep
+	mwGridHi   = 40 * mwGridStep
+)
+
+// mwGridSlack is the relative slack mwGrid adds to each grid point's
+// conversion.
+const mwGridSlack = 1 + 0x1p-40
+
+var mwGrid [mwGridHi - mwGridLo + 1]float64
+
+func init() {
+	for i := range mwGrid {
+		mwGrid[i] = phy.DBm(float64(i+mwGridLo)/mwGridStep).Milliwatts() * mwGridSlack
+	}
+}
+
+// Folded reports whether the listener's power sums run on the folded path:
 // the spatial tier is active and the listener's position is backed by the
-// snapshot, so its far field is certified. Unbacked listeners (late
-// attachers) keep the exact full loop.
-func (m *Medium) folded(listenerID int) bool {
+// snapshot, so its far field is certified, and InterferenceBoundsMW
+// answers from a cached bound. Unbacked listeners (late attachers) keep
+// the exact full loop.
+func (m *Medium) Folded(listenerID int) bool {
 	return m.spatial && listenerID < len(m.farBacked) && m.farBacked[listenerID]
 }
 
@@ -498,6 +741,19 @@ func (m *Medium) spatialSlot(listenerID, src int) *linkSlot {
 		m.spill[key] = s
 	}
 	return s
+}
+
+// markedSlot is spatialSlot for tx's source. During tx's OnAir fan-out a
+// backed listener that markReach marked finds the slot at the marked rank,
+// without spatialSlot's search.
+func (m *Medium) markedSlot(tx *Transmission, listenerID int) *linkSlot {
+	if m.reachTx == tx.ID+1 && m.farBacked[listenerID] {
+		if mk := m.reach[listenerID]; mk.tx == m.reachTx {
+			near, _ := m.snap.NearRow(listenerID)
+			return &m.spatialRow(listenerID, len(near))[mk.rank]
+		}
+	}
+	return m.spatialSlot(listenerID, tx.Src)
 }
 
 // rankOf returns id's index in the ascending slice, or -1.

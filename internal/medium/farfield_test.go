@@ -112,7 +112,7 @@ func TestFoldedUnbackedFallbacks(t *testing.T) {
 		ids[i] = m.Attach(probes[i])
 	}
 	for _, id := range ids {
-		if !m.folded(id) {
+		if !m.Folded(id) {
 			t.Fatalf("listener %d not folded after attach at captured geometry", id)
 		}
 	}
@@ -128,14 +128,14 @@ func TestFoldedUnbackedFallbacks(t *testing.T) {
 
 	// Detach clears the fold flag; a late attacher never gets one.
 	m.Detach(ids[7])
-	if m.folded(ids[7]) {
+	if m.Folded(ids[7]) {
 		t.Fatal("detached listener still folded")
 	}
-	if !m.folded(ids[6]) {
+	if !m.Folded(ids[6]) {
 		t.Fatal("neighbour of the detached listener lost its fold")
 	}
 	late := m.Attach(&probe{pos: phy.Position{X: -500}})
-	if m.folded(late) {
+	if m.Folded(late) {
 		t.Fatal("late attacher folded despite being outside the snapshot")
 	}
 	// Its sums are exact: compare against a brute-force walk.
@@ -158,7 +158,7 @@ func TestFoldedReadsServedFromList(t *testing.T) {
 		for _, r := range c.readers {
 			got := c.read(r)
 			nl := &c.m.near[r]
-			if fresh := c.m.interferenceWalk(nl.entries, c.locked, r, c.probes[r].band, nl.far); got != fresh {
+			if fresh := c.m.interferenceWalk(nl.live(), c.locked, r, c.probes[r].band, nl.far); got != fresh {
 				t.Fatalf("step %d reader %d: InterferenceMW = %v, a fresh walk of its list %v", i, r, got, fresh)
 			}
 		}

@@ -263,17 +263,20 @@ type listenerSums struct {
 // transmission (txID) and receiver tuning (inFreq); everything cached is
 // a pure function of state frozen at Transmit time plus the
 // transmission-pinned fading draw, so a recompute after any cache
-// turnover is bit-identical.
+// turnover is bit-identical. A folded bound read leaves the in-channel
+// power in dBm, its conversion deferred (inLazy); the flags fill the
+// padding, so a slot stays 56 bytes.
 type linkSlot struct {
 	loss   float64 // path loss, dB
 	static float64 // persistent shadowing draw, dB
 	rxMW   float64 // RxPower of txID, milliwatts
-	inMW   float64 // InChannelPower of txID at inFreq, milliwatts
+	inMW   float64 // InChannelPower of txID at inFreq: milliwatts, or dBm while inLazy
 	inFreq phy.MHz // receiver tuning inMW was computed for
 	txID   uint64  // transmission the mW caches belong to
 	known  bool    // link budget computed (shadowing drawn)
 	hasRx  bool
 	hasIn  bool
+	inLazy bool // inMW holds the dBm level, not yet converted
 }
 
 // New creates a medium bound to the kernel. Defaults: indoor log-distance
@@ -650,7 +653,7 @@ func (m *Medium) RxPower(tx *Transmission, listenerID int) phy.DBm {
 	if l == nil {
 		return phy.Silent // detached listener measures nothing
 	}
-	return m.rxFrom(m.link(tx.Src, listenerID, tx.Pos, l.Position()), tx, listenerID)
+	return m.rxFrom(m.link(tx, listenerID, l.Position()), tx, listenerID)
 }
 
 // rxFrom is RxPower from the pair's slot, its link budget already filled:
@@ -688,20 +691,20 @@ func (m *Medium) linkRow(listenerID, src int) []linkSlot {
 	return grown
 }
 
-// link returns the cached slot of the (src, listener) pair, filling its
+// link returns the cached slot of the (tx.Src, listener) pair, filling its
 // budget half on first use: the path loss for the pair's geometry plus the
 // pair's one-time shadowing draw (drawn lazily, exactly when the first
 // RxPower for the pair used to draw it). Positions are fixed while
 // attached, so the budget never needs recomputing.
-func (m *Medium) link(src, listenerID int, from, to phy.Position) *linkSlot {
+func (m *Medium) link(tx *Transmission, listenerID int, to phy.Position) *linkSlot {
 	var s *linkSlot
 	if m.spatial {
-		s = m.spatialSlot(listenerID, src)
+		s = m.markedSlot(tx, listenerID)
 	} else {
-		s = &m.linkRow(listenerID, src)[src]
+		s = &m.linkRow(listenerID, tx.Src)[tx.Src]
 	}
 	if !s.known {
-		m.fillBudget(s, m.lookupLoss(src, listenerID, from, to))
+		m.fillBudget(s, m.lookupLoss(tx.Src, listenerID, tx.Pos, to))
 	}
 	return s
 }
@@ -885,6 +888,10 @@ func (m *Medium) inChannelMW(tx *Transmission, listenerID int, freq phy.MHz) flo
 		s.inMW = m.InChannelPower(tx, listenerID, freq).Milliwatts()
 		s.inFreq = freq
 		s.hasIn = true
+		s.inLazy = false
+	} else if s.inLazy {
+		s.inMW = phy.DBm(s.inMW).Milliwatts()
+		s.inLazy = false
 	}
 	return s.inMW
 }
@@ -916,7 +923,7 @@ func (m *Medium) SensedPower(listenerID int, freq phy.MHz) phy.DBm {
 	if m.listeners[listenerID] == nil {
 		return phy.Silent // detached listener measures nothing
 	}
-	if m.folded(listenerID) {
+	if m.Folded(listenerID) {
 		return m.sensedPowerFolded(listenerID, freq)
 	}
 	c := &m.sums[listenerID].sensed
@@ -954,7 +961,7 @@ func (m *Medium) SensedCoChannelPower(listenerID int, freq phy.MHz) phy.DBm {
 	if m.listeners[listenerID] == nil {
 		return phy.Silent // detached listener measures nothing
 	}
-	if m.folded(listenerID) {
+	if m.Folded(listenerID) {
 		return m.sensedCoChannelFolded(listenerID, freq)
 	}
 	c := &m.sums[listenerID].coch
@@ -991,7 +998,7 @@ func (m *Medium) sensedCoChannelDirect(listenerID int, freq phy.MHz) phy.DBm {
 // sum is cached on its own near-active list instead (farfield.go), so
 // on-air changes beyond its near field leave it valid.
 func (m *Medium) InterferenceMW(wanted *Transmission, listenerID int, freq phy.MHz) float64 {
-	if m.folded(listenerID) {
+	if m.Folded(listenerID) {
 		return m.interferenceFolded(wanted, listenerID, freq)
 	}
 	c := &m.sums[listenerID].interf
@@ -1005,6 +1012,22 @@ func (m *Medium) InterferenceMW(wanted *Transmission, listenerID int, freq phy.M
 		}
 	}
 	return c.mw
+}
+
+// InterferenceBoundsMW returns lo ≤ InterferenceMW(wanted, listenerID, freq)
+// ≤ hi for a caller that only compares the sum with a threshold. For a
+// folded listener (Folded) lo is the far-field term every folded sum starts
+// from, and hi an upper bound cached on the listener's near-active list,
+// which a read after a removal or after new transmissions on the air
+// updates without a walk and without converting the new terms from dBm
+// exactly; the read makes the same lazy fading draws, in the same order,
+// as InterferenceMW would. For any other listener both are InterferenceMW.
+func (m *Medium) InterferenceBoundsMW(wanted *Transmission, listenerID int, freq phy.MHz) (lo, hi float64) {
+	if m.Folded(listenerID) {
+		return m.near[listenerID].far, m.interferenceBoundFolded(wanted, listenerID, freq)
+	}
+	v := m.InterferenceMW(wanted, listenerID, freq)
+	return v, v
 }
 
 // interferenceDirect is the reference ID-ordered sum behind

@@ -2,6 +2,7 @@ package medium
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 	"time"
@@ -206,7 +207,7 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 	markedAnswers := 0
 	checkReachable := func(tx *Transmission) {
 		for _, lid := range ids {
-			if m.reachTx == tx.ID+1 && m.folded(lid) {
+			if m.reachTx == tx.ID+1 && m.Folded(lid) {
 				markedAnswers++
 			}
 			got := m.Reachable(tx, lid)
@@ -347,10 +348,10 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 			t.Fatalf("%d near-active lists for %d listeners", len(m.near), len(m.listeners))
 		}
 		for lid := range m.near {
-			got := m.near[lid].entries
+			got := m.near[lid].live()
 			var want []*Transmission
 			var row []int32
-			if m.folded(lid) {
+			if m.Folded(lid) {
 				row, _ = snap.NearRow(lid)
 				for _, tx := range ordered() {
 					near := false
@@ -394,6 +395,41 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 		}
 	}
 
+	// checkBounds holds a folded listener's bound-first interference read,
+	// made just before the exact read, to the fresh walk: lo ≤ fresh ≤ hi.
+	// It also replays Radio.closeSegment's zero certificate, fl(sum +
+	// noise) ≤ z, at thresholds on both sides of the two sums: certifying
+	// from the bound first and from the exact sum only when the bound
+	// cannot must decide exactly as the exact sum alone. A bound hit is a
+	// strict bound that still certified, a bound miss a threshold only the
+	// exact sum certified.
+	boundHits, boundMisses, strictBounds := 0, 0, 0
+	checkBounds := func(lid int, lo, hi, fresh float64) {
+		t.Helper()
+		if !(lo <= fresh && fresh <= hi) {
+			t.Fatalf("t=%v listener %d: interference bounds [%v, %v] miss a fresh walk's %v (reads so far %+v)",
+				k.Now(), lid, lo, hi, fresh, m.folds)
+		}
+		if hi != fresh {
+			strictBounds++
+		}
+		hiSum, exactSum := hi+phy.NoiseFloorMW, fresh+phy.NoiseFloorMW
+		for _, z := range []float64{exactSum, hiSum, math.Nextafter(exactSum, 0), math.Nextafter(hiSum, 0), (exactSum + hiSum) / 2} {
+			fromBound := hiSum <= z
+			fromExact := exactSum <= z
+			if fromBound && !fromExact {
+				t.Fatalf("t=%v listener %d: bound %v certifies zero at %v mW, the exact sum %v does not",
+					k.Now(), lid, hi, z, fresh)
+			}
+			if fromBound && hi != fresh {
+				boundHits++
+			}
+			if !fromBound && fromExact {
+				boundMisses++
+			}
+		}
+	}
+
 	foldedSamples, ownSamples := 0, 0
 	check := func() {
 		for i := 1; i < len(m.active); i++ {
@@ -406,7 +442,7 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 			checkNearLists()
 		}
 		for _, lid := range ids {
-			if m.Attached(lid) && m.folded(lid) {
+			if m.Attached(lid) && m.Folded(lid) {
 				foldedSamples++
 			}
 			if !m.Attached(lid) {
@@ -432,8 +468,14 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 				return v
 			}
 			var nl *nearList
-			if m.folded(lid) {
+			if m.Folded(lid) {
 				nl = &m.near[lid]
+			}
+			// A receiver's bound-first read comes before the sensing reads
+			// fill the slots exactly, as a segment close can.
+			if nl != nil && len(active) > 0 {
+				lo, hi := m.InterferenceBoundsMW(active[0], lid, freq)
+				checkBounds(lid, lo, hi, m.interferenceWalk(nl.live(), active[0], lid, freq, nl.far))
 			}
 			for pass := 0; pass < 2; pass++ {
 				sensed := sample(m.SensedPower(lid, freq))
@@ -442,9 +484,9 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 				compare("SensedCoChannelPower", lid, coch, bruteCoChannel(lid, freq))
 				if nl != nil {
 					checkFresh("SensedPower", lid, float64(sensed),
-						float64(phy.FromMilliwatts(m.sensedWalk(nl.entries, lid, freq, phy.NoiseFloorMW+nl.far))))
+						float64(phy.FromMilliwatts(m.sensedWalk(nl.live(), lid, freq, phy.NoiseFloorMW+nl.far))))
 					checkFresh("SensedCoChannelPower", lid, float64(coch),
-						float64(phy.FromMilliwatts(m.coChannelWalk(nl.entries, lid, freq, phy.NoiseFloorMW+nl.far))))
+						float64(phy.FromMilliwatts(m.coChannelWalk(nl.live(), lid, freq, phy.NoiseFloorMW+nl.far))))
 				}
 			}
 			// Every transmission on the air in turn as the wanted one,
@@ -457,11 +499,16 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 			wanteds := append(append([]*Transmission(nil), active...), active[0])
 			for _, wanted := range wanteds {
 				for pass := 0; pass < 2; pass++ {
+					var lo, hi float64
+					if nl != nil {
+						lo, hi = m.InterferenceBoundsMW(wanted, lid, freq)
+					}
 					got := m.InterferenceMW(wanted, lid, freq)
 					compareMW(lid, sample(phy.FromMilliwatts(got)), bruteInterference(wanted, lid, freq))
 					if nl != nil {
-						checkFresh("InterferenceMW", lid, got,
-							m.interferenceWalk(nl.entries, wanted, lid, freq, nl.far))
+						fresh := m.interferenceWalk(nl.live(), wanted, lid, freq, nl.far)
+						checkFresh("InterferenceMW", lid, got, fresh)
+						checkBounds(lid, lo, hi, fresh)
 					}
 				}
 			}
@@ -524,7 +571,7 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 		m.Transmit(ids[0], pos[ids[0]], -5, channels[0], burst)
 		m.TransmitShaped(ids[1], pos[ids[1]], -5, channels[1], 4, burst)
 		late := attach(latePos, false)
-		if folded && !m.folded(late) {
+		if folded && !m.Folded(late) {
 			t.Fatalf("late attacher %d at its captured position is not snapshot-backed", late)
 		}
 		check()
@@ -550,6 +597,14 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 	}
 	if folded && (m.folds.hits == 0 || m.folds.extends == 0 || m.folds.walks == 0) {
 		t.Fatalf("folded reads %+v: a hit, an extension and a walk must each be checked", m.folds)
+	}
+	if folded {
+		t.Logf("bound reads: %d, %d strict; %d bound hits and %d bound misses checked; %d exact reads after a bound",
+			m.folds.boundReads, strictBounds, boundHits, boundMisses, m.folds.boundMisses)
+	}
+	if folded && (boundHits == 0 || boundMisses == 0 || m.folds.boundMisses == 0) {
+		t.Fatalf("%d bound hits, %d bound misses, %d exact reads after a bound: each must be checked",
+			boundHits, boundMisses, m.folds.boundMisses)
 	}
 	if folded && markedAnswers == 0 {
 		t.Fatal("no Reachable answer came from the fan-out marks")

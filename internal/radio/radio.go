@@ -169,6 +169,9 @@ type Radio struct {
 	ccaStuck bool
 	regStats RegisterStats
 	segStats SegmentStats
+	// folded records that the medium folds the radio's far field
+	// (Medium.Folded), so its interference reads go bound-first.
+	folded bool
 
 	rx     *receptionState
 	energy energyMeter
@@ -233,6 +236,7 @@ func New(k *sim.Kernel, m *medium.Medium, cfg Config) *Radio {
 	r.cfg.CCAThreshold, _ = phy.ClampCCAThreshold(cfg.CCAThreshold)
 	r.energy.account(r.state, cfg.TxPower, k.Now()) // start the meter
 	r.id = m.Attach(r)
+	r.folded = m.Folded(r.id)
 	r.wake()
 	return r
 }
@@ -427,10 +431,24 @@ func (r *Radio) OnAir(tx *medium.Transmission) {
 	// The probe's sum also makes the lazy fading draws of every other
 	// transmission on the air, in ID order, so it runs at every lock-on.
 	// The comparison is made in dBm: a Silent contributor adds 1e-100 mW.
+	// A folded radio's probe reads bounds, which make the same draws: a
+	// lower bound that is audible decides, and only a silent one needs
+	// the exact sum.
+	if r.folded {
+		if lo, _ := r.medium.InterferenceBoundsMW(tx, r.id, r.cfg.Freq); lo >= audibleMW {
+			r.rx.collided = true
+			return
+		}
+	}
 	if phy.FromMilliwatts(r.medium.InterferenceMW(tx, r.id, r.cfg.Freq)) > phy.Silent {
 		r.rx.collided = true
 	}
 }
+
+// audibleMW is a power far above Silent's 1e-100 mW: any sum at least this
+// large reads above phy.Silent in dBm, whatever the rounding of the
+// logarithm.
+const audibleMW = 1e-90
 
 // OffAir implements medium.Listener.
 func (r *Radio) OffAir(tx *medium.Transmission) {
@@ -467,6 +485,12 @@ func (r *Radio) OffAir(tx *medium.Transmission) {
 // Every other segment takes the exact path. All three read the same
 // medium sum, so the fading draws happen either way and the charged
 // errors and RNG positions match the exact path bit for bit.
+//
+// A folded radio first reads an upper bound hi of the sum
+// (Medium.InterferenceBoundsMW), which makes the same draws. Rounded
+// addition is monotone, so fl(hi + noise) ≤ rx.zeroMW implies the exact
+// sum certifies zero too; only a segment the bound cannot certify reads
+// the exact sum.
 func (r *Radio) closeSegment() {
 	now := r.kernel.Now()
 	elapsed := now - r.rx.segStart
@@ -481,6 +505,12 @@ func (r *Radio) closeSegment() {
 		return
 	}
 	r.segStats.Closed++
+	if r.folded {
+		if _, hi := r.medium.InterferenceBoundsMW(r.rx.tx, r.id, r.cfg.Freq); hi+phy.NoiseFloorMW <= r.rx.zeroMW {
+			r.segStats.CertifiedZero++
+			return
+		}
+	}
 	interfMW := r.medium.InterferenceMW(r.rx.tx, r.id, r.cfg.Freq)
 	sumMW := interfMW + phy.NoiseFloorMW
 	if sumMW <= r.rx.zeroMW {

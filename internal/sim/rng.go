@@ -89,8 +89,9 @@ func (g *RNG) Bernoulli(p float64) bool {
 // n ≤ 64 a trial succeeds only on a Float64 of exactly 0, since the
 // smallest non-zero Float64 is 2⁻⁶³. For n > 64 the first skip is at
 // least −log(1−2⁻⁵³)/p ≥ 1.3e8 trials (or +Inf on a 0 draw), so the
-// call returns 0 after exactly one Float64 whenever n is below that.
-// TestBinomialTinyPInvariant checks it.
+// call returns 0 after exactly one Float64 whenever n is below that, and
+// takes that exit without evaluating the logarithms.
+// TestBinomialTinyPInvariant and TestBinomialTinyPCutBound check it.
 func (g *RNG) Binomial(n int, p float64) int {
 	if n <= 0 || p <= 0 {
 		return 0
@@ -107,6 +108,10 @@ func (g *RNG) Binomial(n int, p float64) int {
 			}
 		}
 		return c
+	}
+	if p <= 0x1p-80 && n < 130_000_000 {
+		g.r.Float64() // the first skip's draw, which passes n
+		return 0
 	}
 	// Geometric skipping: index of next success is current + 1 + Geom(p).
 	c := 0

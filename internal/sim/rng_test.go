@@ -145,6 +145,33 @@ func TestBinomialTinyPInvariant(t *testing.T) {
 	}
 }
 
+// TestBinomialTinyPCutBound checks the bound behind Binomial's tiny-p
+// exit: at p = 2⁻⁸⁰ and the largest Float64 below 1, the geometric skip
+// the exit stands in for already reaches 1.3e8 trials. A smaller p or
+// draw only lengthens the skip, so below 1.3e8 trials the skipping loop
+// would return 0 after its first draw, as the exit does.
+func TestBinomialTinyPCutBound(t *testing.T) {
+	skip := math.Floor(math.Log(math.Nextafter(1, 0)) / math.Log1p(-0x1p-80))
+	if skip < 130_000_000 {
+		t.Fatalf("shortest first skip at p = 2^-80 is %v trials, below the exit's 1.3e8", skip)
+	}
+	for _, p := range []float64{0x1p-80, 1e-30, math.SmallestNonzeroFloat64} {
+		cut, skipped := NewRNG(3), NewRNG(3)
+		for _, n := range []int{65, 1000, 129_999_999} {
+			if c := cut.Binomial(n, p); c != 0 {
+				t.Fatalf("Binomial(%d, %g) = %d, want 0", n, p, c)
+			}
+			u := skipped.Float64()
+			if f := math.Floor(math.Log(u) / math.Log1p(-p)); !(f >= float64(n)) {
+				t.Fatalf("draw %v: first skip %v trials is below n = %d", u, f, n)
+			}
+			if a, b := cut.Int63(), skipped.Int63(); a != b {
+				t.Fatalf("n=%d p=%g: streams diverged after the exit (%d, %d)", n, p, a, b)
+			}
+		}
+	}
+}
+
 func TestGaussianMoments(t *testing.T) {
 	g := NewRNG(13)
 	const n = 100000
