@@ -3,7 +3,6 @@ BENCH ?= .
 # The default output is gitignored, so a local run never overwrites the
 # committed BENCH_PR*.json artifacts.
 BENCH_OUT ?= .bench_build/bench.json
-BENCH_BASE ?= BENCH_PR7.json
 
 # Pinned third-party analyzer versions for `make lint-full` (LINT_FULL=1).
 # Both are fetched with `go run pkg@version`, so they need module-proxy
@@ -59,7 +58,9 @@ bench:
 	mkdir -p $(dir $(BENCH_OUT))
 	$(GO) run ./cmd/dcnbench -bench '$(BENCH)' -out $(BENCH_OUT)
 
-## bench-compare: run the benchmarks into $(BENCH_OUT), then fail if any
-## shared benchmark's ns/op regressed >20% against $(BENCH_BASE).
-bench-compare: bench
-	$(GO) run ./cmd/dcnbench -compare $(BENCH_BASE) $(BENCH_OUT)
+## bench-compare: check.sh's same-host gate — time the medium and city
+## fan-out micro-benchmarks in an export of the base commit (HEAD with
+## uncommitted changes, else HEAD^) and in the working tree, and fail if
+## any shared benchmark's ns/op regressed >20% on all 3 attempts.
+bench-compare:
+	./scripts/benchcompare.sh

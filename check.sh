@@ -88,7 +88,7 @@ echo "== go test -race ./..."
 # grids headroom beyond the 10m default before calling a hang.
 go test -race -timeout 1800s ./...
 echo "== bench smoke (1 iteration)"
-go run ./cmd/dcnbench -bench 'KernelScheduleCancel|SensedPowerDense|OnAirFanout$' \
+go run ./cmd/dcnbench -bench 'KernelScheduleCancel|SensedPowerDenseSum|InterferenceDenseSum|OnAirFanout$' \
 	-benchtime 1x -pkgs ./internal/sim,./internal/medium -out /dev/null
 go run ./cmd/dcnbench -bench 'BitErrorRate|Milliwatts' \
 	-benchtime 1x -pkgs ./internal/phy -out /dev/null
@@ -106,33 +106,13 @@ go run ./cmd/dcnbench -bench 'SensedPower5kNodes|OnAirFanout5kNodes|Interference
 # the interprocedural engine's cost visible in the bench artifacts.
 go run ./cmd/dcnbench -bench 'LintModule' \
 	-benchtime 1x -pkgs ./internal/lint -out /dev/null
-echo "== bench compare smoke (vs BENCH_PR7.json)"
-# The medium sensing benchmarks (sped up severalfold in PR 3, again via
-# the SoA link rows in PR 7) plus the PR 4 dissemination fan-out: all
-# are tight enough that a >20% regression signal here is real, not
-# measurement noise. The store round trip rides
-# along so a cell-cache slowdown (it sits on every -store sweep's path)
-# trips the same gate.
-smoke_json=$(mktemp)
-# Best of three: a ~12 ns/op benchmark can read 25% high during a CPU
-# burst on a shared runner, so each attempt uses 2M fixed iterations
-# (100k measured only ~1 ms) and the gate passes if any attempt is
-# clean — a real regression fails all three.
-compare_ok=0
-for attempt in 1 2 3; do
-	go run ./cmd/dcnbench -bench 'SensedPowerDense|InterferenceDense|OnAirFanout$' \
-		-benchtime 2000000x -pkgs ./internal/medium -out "$smoke_json"
-	if go run ./cmd/dcnbench -compare BENCH_PR7.json "$smoke_json"; then
-		compare_ok=1
-		break
-	fi
-	echo "bench compare attempt $attempt failed; retrying in case of host noise"
-done
-if [ "$compare_ok" -ne 1 ]; then
-	echo "bench compare failed on all 3 attempts" >&2
-	exit 1
-fi
+echo "== bench compare (working tree vs its base commit, same host)"
+# The medium's dense sums and fan-out and the city radios' fan-out, timed
+# in an export of the base commit and in the working tree, best of three
+# at +20% ns/op; scripts/benchcompare.sh says how the base is chosen.
+./scripts/benchcompare.sh
+# Store smoke: 100 round trips through the cell cache, which sits on
+# every -store sweep's path. Run, not compared.
 go run ./cmd/dcnbench -bench 'CellStoreRoundTrip' \
 	-benchtime 100x -pkgs ./internal/store -out /dev/null
-rm -f "$smoke_json"
 echo "check: OK"

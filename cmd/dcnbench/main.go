@@ -9,6 +9,7 @@
 //	dcnbench -bench 'SensedPower|Kernel' -benchtime 100000x -out /dev/stdout
 //	dcnbench -compare old.json new.json            # exit 1 on >20% ns/op regression
 //	dcnbench -compare -threshold 0.5 old.json new.json
+//	dcnbench -compare old1.json,old2.json new1.json,new2.json  # fastest run per side
 package main
 
 import (
@@ -60,7 +61,7 @@ func run(args []string) error {
 		bench     = fs.String("bench", ".", "benchmark regexp passed to go test -bench")
 		benchtime = fs.String("benchtime", "", "passed to go test -benchtime (default go's own)")
 		pkgs      = fs.String("pkgs", "./...", "comma-separated package patterns to benchmark")
-		compare   = fs.Bool("compare", false, "compare two result files: dcnbench -compare old.json new.json")
+		compare   = fs.Bool("compare", false, "compare two sides' results: dcnbench -compare old.json new.json (a side may list files with commas)")
 		threshold = fs.Float64("threshold", 0.20, "with -compare: fail when ns/op grows by more than this fraction")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -165,55 +166,74 @@ type regression struct {
 }
 
 // compareReports diffs new against old on ns/op for every benchmark present
-// in both, returning the shared count and the entries exceeding threshold.
+// in both, returning the shared count and the entries exceeding threshold,
+// in new's order. A benchmark a report lists more than once counts at its
+// fastest run: on a shared host, noise only ever adds time.
 func compareReports(old, new Report, threshold float64) (shared int, regs []regression) {
-	oldNs := make(map[string]float64, len(old.Benchmarks))
-	for _, b := range old.Benchmarks {
-		if ns, ok := b.Metrics["ns/op"]; ok {
-			oldNs[benchKey(b)] = ns
-		}
-	}
+	oldNs, newNs := fastest(old), fastest(new)
 	for _, b := range new.Benchmarks {
 		key := benchKey(b)
 		was, ok := oldNs[key]
-		newNs, okNew := b.Metrics["ns/op"]
+		now, okNew := newNs[key]
 		if !ok || !okNew || was <= 0 {
 			continue
 		}
+		delete(newNs, key) // later runs of key are already folded in
 		shared++
-		if newNs/was-1 > threshold {
-			regs = append(regs, regression{key: key, old: was, new: newNs})
+		if now/was-1 > threshold {
+			regs = append(regs, regression{key: key, old: was, new: now})
 		}
 	}
 	return shared, regs
 }
 
-func readReport(path string) (Report, error) {
-	var rep Report
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rep, err
+// fastest maps each benchmark key in rep to its lowest ns/op.
+func fastest(rep Report) map[string]float64 {
+	ns := make(map[string]float64, len(rep.Benchmarks))
+	for _, b := range rep.Benchmarks {
+		v, ok := b.Metrics["ns/op"]
+		if !ok {
+			continue
+		}
+		if was, seen := ns[benchKey(b)]; !seen || v < was {
+			ns[benchKey(b)] = v
+		}
 	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return rep, fmt.Errorf("%s: %w", path, err)
+	return ns
+}
+
+// readReport reads a comma-separated list of result files as one report
+// holding all their benchmarks.
+func readReport(paths string) (Report, error) {
+	var all Report
+	for _, path := range strings.Split(paths, ",") {
+		var rep Report
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return all, err
+		}
+		if err := json.Unmarshal(data, &rep); err != nil {
+			return all, fmt.Errorf("%s: %w", path, err)
+		}
+		all.Benchmarks = append(all.Benchmarks, rep.Benchmarks...)
 	}
-	return rep, nil
+	return all, nil
 }
 
 // runCompare implements -compare: non-nil error (and so a non-zero exit)
 // when any shared benchmark's ns/op regressed by more than threshold.
-func runCompare(oldPath, newPath string, threshold float64, w *os.File) error {
-	old, err := readReport(oldPath)
+func runCompare(oldPaths, newPaths string, threshold float64, w *os.File) error {
+	old, err := readReport(oldPaths)
 	if err != nil {
 		return err
 	}
-	cur, err := readReport(newPath)
+	cur, err := readReport(newPaths)
 	if err != nil {
 		return err
 	}
 	shared, regs := compareReports(old, cur, threshold)
 	if shared == 0 {
-		return fmt.Errorf("no shared ns/op benchmarks between %s and %s", oldPath, newPath)
+		return fmt.Errorf("no shared ns/op benchmarks between %s and %s", oldPaths, newPaths)
 	}
 	fmt.Fprintf(w, "compared %d shared benchmarks (threshold +%.0f%% ns/op)\n", shared, threshold*100)
 	for _, r := range regs {

@@ -89,6 +89,30 @@ func TestCompareReports(t *testing.T) {
 	}
 }
 
+// TestCompareTakesFastestRun: a benchmark listed several times counts at
+// its fastest run on each side, and is compared once.
+func TestCompareTakesFastestRun(t *testing.T) {
+	old := Report{Benchmarks: []Benchmark{
+		benchResult("p", "BenchmarkA", 130), // a burst-slowed run
+		benchResult("p", "BenchmarkA", 100),
+	}}
+	noisy := Report{Benchmarks: []Benchmark{
+		benchResult("p", "BenchmarkA", 160),
+		benchResult("p", "BenchmarkA", 105),
+		benchResult("p", "BenchmarkA", 140),
+	}}
+	if shared, regs := compareReports(old, noisy, 0.20); shared != 1 || len(regs) != 0 {
+		t.Fatalf("noisy runs: shared = %d, regressions = %+v; want 1 shared, none", shared, regs)
+	}
+	slow := Report{Benchmarks: []Benchmark{
+		benchResult("p", "BenchmarkA", 125),
+		benchResult("p", "BenchmarkA", 140),
+	}}
+	if _, regs := compareReports(old, slow, 0.20); len(regs) != 1 || regs[0].old != 100 || regs[0].new != 125 {
+		t.Fatalf("slow runs: regressions = %+v, want one 100 -> 125", regs)
+	}
+}
+
 func TestBenchKeyStripsGomaxprocsSuffix(t *testing.T) {
 	for name, want := range map[string]string{
 		"BenchmarkA-8":             "p.BenchmarkA",
@@ -123,6 +147,13 @@ func TestRunCompareEndToEnd(t *testing.T) {
 
 	if err := run([]string{"-compare", old, same}); err != nil {
 		t.Errorf("steady result failed compare: %v", err)
+	}
+	// A side may list several result files; its fastest run counts.
+	if err := run([]string{"-compare", old, worse + "," + same}); err != nil {
+		t.Errorf("fastest of two runs failed compare: %v", err)
+	}
+	if err := run([]string{"-compare", old, worse + "," + edge + ",missing.json"}); err == nil {
+		t.Error("a missing result file passed compare")
 	}
 	// The gate is strictly greater-than: exactly +20% on the default 0.20
 	// threshold is still exit 0, so a result hovering on the line never

@@ -10,55 +10,53 @@ import (
 	"nonortho/internal/topology"
 )
 
-// BenchmarkSensedPowerDense measures the CCA hot path on a dense 35-node
-// topology with several concurrent transmissions on neighbouring channels —
-// the landscape every carrier-sense sample integrates in the paper's
-// five-network experiments. The link-budget and per-transmission caches
-// make the steady-state sample alloc-free and skip the per-term
-// log-domain conversions.
-func BenchmarkSensedPowerDense(b *testing.B) {
-	k := sim.NewKernel(1)
-	m := New(k)
-	const nodes = 35
-	ids := make([]int, nodes)
-	probes := make([]*probe, nodes)
-	for i := 0; i < nodes; i++ {
-		p := &probe{pos: phy.Position{X: float64(i%7) * 3, Y: float64(i/7) * 3}}
-		probes[i] = p
-		ids[i] = m.Attach(p)
+// denseBench is the dense 35-node landscape of the paper's five-network
+// experiments: a 7×5 grid at 3 m spacing with five transmissions on the
+// air, one from each grid row, on neighbouring channels. Arrays, not
+// slices, so the benchmarks' index arithmetic divides by constants and an
+// op times the read, not two hardware divides.
+type denseBench struct {
+	m      *Medium
+	ids    [35]int
+	freqs  [5]phy.MHz
+	active [5]*Transmission
+}
+
+func newDenseBench() *denseBench {
+	m := New(sim.NewKernel(1))
+	d := &denseBench{m: m, freqs: [5]phy.MHz{2460, 2461, 2463, 2465, 2467}}
+	var pos [len(d.ids)]phy.Position
+	for i := range pos {
+		pos[i] = phy.Position{X: float64(i%7) * 3, Y: float64(i/7) * 3}
+		d.ids[i] = m.Attach(&probe{pos: pos[i]})
 	}
-	freqs := []phy.MHz{2460, 2461, 2463, 2465, 2467}
 	f := &frame.Frame{Type: frame.TypeData, Payload: make([]byte, 64)}
-	var active []*Transmission
-	startBatch := func() {
-		active = active[:0]
-		for j := 0; j < 5; j++ {
-			src := j * 7
-			active = append(active, m.Transmit(ids[src], probes[src].pos, 0, freqs[j], f))
-		}
+	for j, freq := range d.freqs {
+		src := j * 7
+		d.active[j] = m.Transmit(d.ids[src], pos[src], 0, freq, f)
 	}
-	startBatch()
+	return d
+}
+
+// BenchmarkSensedPowerDenseSum measures the CCA hot path on the dense
+// landscape: one SensedPower read, the ID-ordered sum over the five
+// transmissions on the air. Readers rotate through all 35 listeners, each
+// always tuned to the same channel, so the per-slot mW caches stay warm
+// and an op times the sum, not the dBm→mW conversions of a retune.
+func BenchmarkSensedPowerDenseSum(b *testing.B) {
+	d := newDenseBench()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Periodic transmission churn so the benchmark also pays the
-		// cache-warming cost, as a live network does.
-		if i%4096 == 4095 {
-			b.StopTimer()
-			k.Run() // drain the old batch
-			startBatch()
-			b.StartTimer()
-		}
-		listener := ids[(i*11)%nodes]
-		_ = m.SensedPower(listener, freqs[i%len(freqs)])
+		_ = d.m.SensedPower(d.ids[(i*11)%len(d.ids)], d.freqs[i%len(d.freqs)])
 	}
 }
 
 // BenchmarkSensedPowerChurn interleaves transmission starts, finishes, and
-// CCA samples — the adversarial pattern for the epoch-keyed sum caches,
-// which are invalidated by every on-air change. It also exercises the
-// transmission free-list: every finished transmission's object and per-
-// listener cache array are recycled into the next start.
+// CCA samples: every new transmission's slots are cold at each reader's
+// first sample. It also exercises the transmission free-list: every
+// finished transmission's object and per-listener cache array are recycled
+// into the next start.
 func BenchmarkSensedPowerChurn(b *testing.B) {
 	k := sim.NewKernel(1)
 	m := New(k)
@@ -184,12 +182,12 @@ func cityBenchSetup(b testing.TB, networks int) (*sim.Kernel, *Medium, []int, []
 
 // BenchmarkSensedPower5kNodes measures the CCA hot path at city scale:
 // 5,000 nodes, five concurrent transmissions scattered across the city,
-// and the same 35-listener CCA working set and churn cadence as
-// BenchmarkSensedPowerDense, so population is the only variable between
-// the two. With the far-field fold a cache-missing sample integrates only
-// the listener's near-field neighbourhood plus one precomputed aggregate
-// term, so the per-sample cost tracks the neighbourhood size k, not the
-// population n — the scaling claim gated in check.sh.
+// the same 35-listener CCA working set as BenchmarkSensedPowerDenseSum,
+// and a batch restart every 4,096 samples. With the far-field fold a
+// cache-missing sample integrates only the listener's near-field
+// neighbourhood plus one precomputed aggregate term, so the per-sample
+// cost tracks the neighbourhood size k, not the population n — the scaling
+// claim gated in check.sh.
 func BenchmarkSensedPower5kNodes(b *testing.B) {
 	k, m, ids, probes := cityBenchSetup(b, 1000)
 	f := &frame.Frame{Type: frame.TypeData, Payload: make([]byte, 64)}
@@ -245,34 +243,19 @@ func BenchmarkOnAirFanout5kNodes(b *testing.B) {
 	}
 }
 
-// BenchmarkInterferenceDense measures SINR integration over the same dense
+// BenchmarkInterferenceDenseSum measures SINR integration over the dense
 // landscape: the per-segment interference sum a receiver evaluates every
-// time the on-air set changes during a reception.
-func BenchmarkInterferenceDense(b *testing.B) {
-	k := sim.NewKernel(1)
-	m := New(k)
-	const nodes = 35
-	ids := make([]int, nodes)
-	probes := make([]*probe, nodes)
-	for i := 0; i < nodes; i++ {
-		p := &probe{pos: phy.Position{X: float64(i%7) * 3, Y: float64(i/7) * 3}}
-		probes[i] = p
-		ids[i] = m.Attach(p)
-	}
-	freqs := []phy.MHz{2460, 2461, 2463, 2465, 2467}
-	f := &frame.Frame{Type: frame.TypeData, Payload: make([]byte, 64)}
-	var wanted *Transmission
-	for j := 0; j < 5; j++ {
-		src := j * 7
-		tx := m.Transmit(ids[src], probes[src].pos, 0, freqs[j], f)
-		if j == 0 {
-			wanted = tx
-		}
-	}
+// time the on-air set changes during a reception. Readers rotate through
+// all 35 listeners at 2460 MHz, so the per-slot mW caches stay warm, and
+// the wanted transmission left out of the sum moves on after each round
+// of readers, so no read repeats the one before it at the same listener.
+func BenchmarkInterferenceDenseSum(b *testing.B) {
+	d := newDenseBench()
+	const n = len(d.ids)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.InterferenceMW(wanted, ids[(i*13)%nodes], 2460)
+		_ = d.m.InterferenceMW(d.active[(i/n)%len(d.active)], d.ids[(i*13)%n], 2460)
 	}
 }
 

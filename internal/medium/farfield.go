@@ -46,8 +46,8 @@ import (
 // A folded read costs O(entries changed since the listener's last read).
 // Each backed listener keeps the transmissions its sums visit on its own
 // ID-ordered list, maintained when a transmission goes on or off the air,
-// and caches its sums on that list rather than on the medium-wide epoch:
-// a read after changes beyond the listener's near field is a hit, a read
+// and caches its sums on that list, keyed by the list's own changes: a
+// read after changes beyond the listener's near field is a hit, a read
 // after appends only adds the new tail, and an exact read after a removal
 // walks the list. A removal is almost always of the list's oldest entry,
 // so it only advances the list's head.

@@ -148,8 +148,8 @@ func TestFoldedUnbackedFallbacks(t *testing.T) {
 // TestFoldedReadsServedFromList churns the city cell the way receiving
 // radios read it and holds every read to the bits of a fresh walk of the
 // reader's near-active list. The read counters must show hits and tail
-// extensions: a fold that keyed its caches on the global on-air epoch
-// would return the same bits, every read a walk, and fail here.
+// extensions: a fold whose caches every on-air change invalidated would
+// return the same bits, every read a walk, and fail here.
 func TestFoldedReadsServedFromList(t *testing.T) {
 	c := newCityChurn(t)
 	before := c.m.folds

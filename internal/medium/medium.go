@@ -177,14 +177,6 @@ type Medium struct {
 	// finished transmission (and its perL slice) parks here and is reset
 	// on reuse, so steady-state churn allocates nothing.
 	txPool []*Transmission
-	// epoch counts on-air landscape changes (Transmit/finish/Detach).
-	// A dense listener's cached power sums are valid only within the epoch
-	// they were computed in; a folded listener's key on its own near-active
-	// list instead (farfield.go).
-	epoch uint64
-	// sums holds each dense listener's cached sensing sums, indexed by
-	// attach ID in lockstep with listeners.
-	sums []listenerSums
 	// rows holds each listener's dense link cache: rows[listener][src] is
 	// the structure-of-arrays replacement for the old map[linkKey]
 	// lookup. A slot carries the pair's link budget (path loss for the
@@ -223,37 +215,6 @@ type Medium struct {
 	reach       []reachMark
 	reachTx     uint64
 	folds       foldStats
-}
-
-// sumCache is one listener's memoized SensedPower (or co-channel) result:
-// the dBm total for one receiver tuning, valid within one epoch. A hit can
-// only occur after the identical ID-ordered loop already ran in the same
-// epoch, so returning the cached value is bit-identical to recomputing —
-// and makes CCA sampling O(1) between on-air changes.
-type sumCache struct {
-	freq  phy.MHz
-	epoch uint64
-	dbm   phy.DBm
-	valid bool
-}
-
-// interfCache is InterferenceMW's memoized result, additionally keyed by
-// the wanted transmission being left out of the sum. It holds the raw
-// milliwatt sum, far-field term included; callers that need dBm convert
-// at their edge.
-type interfCache struct {
-	freq   phy.MHz
-	wanted uint64
-	epoch  uint64
-	mw     float64
-	valid  bool
-}
-
-// listenerSums carries one listener's cached sensing sums.
-type listenerSums struct {
-	sensed sumCache
-	coch   sumCache
-	interf interfCache
 }
 
 // linkSlot is one source's entry in a listener's dense link row. The
@@ -307,7 +268,6 @@ func New(k *sim.Kernel, opts ...Option) *Medium {
 // class with SetWake or detaches.
 func (m *Medium) Attach(l Listener) int {
 	m.listeners = append(m.listeners, l)
-	m.sums = append(m.sums, listenerSums{})
 	m.rows = append(m.rows, nil)
 	m.wake = append(m.wake, wakeMark{class: WakeAll})
 	id := len(m.listeners) - 1
@@ -324,11 +284,12 @@ func (m *Medium) Attach(l Listener) int {
 }
 
 // Detach removes a listener from the medium: it receives no further
-// OnAir/OffAir notifications and contributes nothing to power sums. Its ID
-// is never reused. Detaching mid-transmission is safe — a transmission the
-// listener originated stays on the air until its scheduled end (the energy
-// is already radiated) but completes without notifying the departed
-// listener. Detaching an unknown or already-detached ID is a no-op.
+// OnAir/OffAir notifications, and its sensing reads return Silent from
+// then on. Its ID is never reused. Detaching mid-transmission is safe — a
+// transmission the listener originated stays on the air until its
+// scheduled end (the energy is already radiated) but completes without
+// notifying the departed listener. Detaching an unknown or already-detached
+// ID is a no-op.
 func (m *Medium) Detach(id int) {
 	if id < 0 || id >= len(m.listeners) {
 		return
@@ -356,12 +317,8 @@ func (m *Medium) Detach(id int) {
 	}
 	if m.spatial {
 		m.farBacked[id] = false
-		m.near[id] = nearList{}
+		m.near[id] = nearList{} // no longer folded: its cached sums go with the list
 	}
-	// The departed listener now measures Silent where a cached sum holds
-	// its old landscape; invalidate every cached dense sum. A departed
-	// listener is no longer folded, so its folded caches go with its list.
-	m.epoch++
 }
 
 // Attached reports whether the ID currently belongs to a live listener.
@@ -477,7 +434,6 @@ func (m *Medium) TransmitShaped(src int, pos phy.Position, power phy.DBm, freq, 
 	if m.spatial {
 		m.trackActive(tx)
 	}
-	m.epoch++ // after the OnAir fan-out: listeners sensing there see the pre-change landscape
 	m.kernel.At(tx.End, func() { m.finish(tx) })
 	return tx
 }
@@ -620,7 +576,6 @@ func (m *Medium) finish(tx *Transmission) {
 	if m.spatial {
 		m.untrackActive(tx)
 	}
-	m.epoch++ // after the OffAir fan-out: receivers closing segments see tx still on the air
 	// Park the transmission for reuse. Fields stay readable until the
 	// object is actually reused — callers may still inspect Start/End
 	// after the flight — and are reset in newTransmission.
@@ -910,15 +865,10 @@ func (m *Medium) rxMW(tx *Transmission, listenerID int) float64 {
 // SensedPower returns the total in-channel energy a receiver tuned to freq
 // measures at listener l — the quantity the CCA and the RSSI register see.
 // It includes the noise floor and leaves out the listener's own
-// transmissions.
-//
-// The sum is cached per listener and tuning, keyed by the on-air epoch:
-// repeated samples between on-air changes — the CCA hot path — cost O(1).
-// The cache is exact, not approximate: a hit can only occur after the
-// identical ID-ordered loop already ran in the same epoch, so both the
-// returned bits and the lazy fading/shadowing RNG draw order match the
-// direct computation. A folded listener's sum is cached on its own
-// near-active list instead (farfield.go).
+// transmissions. A dense or unbacked listener's sum walks the on-air set
+// in ID order on every call, each term read from the pair's per-slot mW
+// cache; a folded listener's sum is cached on its own near-active list
+// (farfield.go).
 func (m *Medium) SensedPower(listenerID int, freq phy.MHz) phy.DBm {
 	if m.listeners[listenerID] == nil {
 		return phy.Silent // detached listener measures nothing
@@ -926,26 +876,11 @@ func (m *Medium) SensedPower(listenerID int, freq phy.MHz) phy.DBm {
 	if m.Folded(listenerID) {
 		return m.sensedPowerFolded(listenerID, freq)
 	}
-	c := &m.sums[listenerID].sensed
-	if !c.valid || c.epoch != m.epoch || c.freq != freq {
-		*c = sumCache{
-			freq:  freq,
-			epoch: m.epoch,
-			dbm:   m.sensedPowerDirect(listenerID, freq),
-			valid: true,
-		}
-	}
-	return c.dbm
-}
-
-// sensedPowerDirect is the reference ID-ordered sum behind SensedPower.
-func (m *Medium) sensedPowerDirect(listenerID int, freq phy.MHz) phy.DBm {
 	total := phy.NoiseFloorMW
 	for _, tx := range m.active {
-		if tx.Src == listenerID {
-			continue
+		if tx.Src != listenerID {
+			total += m.inChannelMW(tx, listenerID, freq)
 		}
-		total += m.inChannelMW(tx, listenerID, freq)
 	}
 	return phy.FromMilliwatts(total)
 }
@@ -955,8 +890,8 @@ func (m *Medium) sensedPowerDirect(listenerID int, freq phy.MHz) phy.DBm {
 // frequency, plus the noise floor. Real CC2420 hardware cannot measure
 // this quantity — its energy detector integrates the whole filter
 // bandwidth — so this accessor exists for the oracle CCA policy that
-// quantifies the paper's Section VII-C future-work upper bound.
-// Cached exactly like SensedPower.
+// quantifies the paper's Section VII-C future-work upper bound. Summed
+// like SensedPower.
 func (m *Medium) SensedCoChannelPower(listenerID int, freq phy.MHz) phy.DBm {
 	if m.listeners[listenerID] == nil {
 		return phy.Silent // detached listener measures nothing
@@ -964,27 +899,11 @@ func (m *Medium) SensedCoChannelPower(listenerID int, freq phy.MHz) phy.DBm {
 	if m.Folded(listenerID) {
 		return m.sensedCoChannelFolded(listenerID, freq)
 	}
-	c := &m.sums[listenerID].coch
-	if !c.valid || c.epoch != m.epoch || c.freq != freq {
-		*c = sumCache{
-			freq:  freq,
-			epoch: m.epoch,
-			dbm:   m.sensedCoChannelDirect(listenerID, freq),
-			valid: true,
-		}
-	}
-	return c.dbm
-}
-
-// sensedCoChannelDirect is the reference ID-ordered sum behind
-// SensedCoChannelPower.
-func (m *Medium) sensedCoChannelDirect(listenerID int, freq phy.MHz) phy.DBm {
 	total := phy.NoiseFloorMW
 	for _, tx := range m.active {
-		if tx.Src == listenerID || tx.Freq != freq {
-			continue
+		if tx.Src != listenerID && tx.Freq == freq {
+			total += m.rxMW(tx, listenerID)
 		}
-		total += m.rxMW(tx, listenerID)
 	}
 	return phy.FromMilliwatts(total)
 }
@@ -992,26 +911,21 @@ func (m *Medium) sensedCoChannelDirect(listenerID int, freq phy.MHz) phy.DBm {
 // InterferenceMW returns the combined in-channel interference, in
 // milliwatts, a receiver locked to wanted experiences at listener l: the
 // noise floor, the wanted transmission and the listener's own
-// transmissions are left out. Cached per (listener, tuning, wanted,
-// epoch): a receiver repeatedly probing the landscape around one locked
-// frame between on-air changes pays the loop once. A folded listener's
-// sum is cached on its own near-active list instead (farfield.go), so
-// on-air changes beyond its near field leave it valid.
+// transmissions are left out. Summed like SensedPower: a dense or unbacked
+// listener walks the on-air set on every call, and a folded listener's sum
+// is cached on its own near-active list (farfield.go), so on-air changes
+// beyond its near field leave it valid.
 func (m *Medium) InterferenceMW(wanted *Transmission, listenerID int, freq phy.MHz) float64 {
 	if m.Folded(listenerID) {
 		return m.interferenceFolded(wanted, listenerID, freq)
 	}
-	c := &m.sums[listenerID].interf
-	if !c.valid || c.epoch != m.epoch || c.freq != freq || c.wanted != wanted.ID {
-		*c = interfCache{
-			freq:   freq,
-			wanted: wanted.ID,
-			epoch:  m.epoch,
-			mw:     m.interferenceDirect(wanted, listenerID, freq),
-			valid:  true,
+	total := 0.0
+	for _, tx := range m.active {
+		if tx.ID != wanted.ID && tx.Src != listenerID {
+			total += m.inChannelMW(tx, listenerID, freq)
 		}
 	}
-	return c.mw
+	return total
 }
 
 // InterferenceBoundsMW returns lo ≤ InterferenceMW(wanted, listenerID, freq)
@@ -1028,17 +942,4 @@ func (m *Medium) InterferenceBoundsMW(wanted *Transmission, listenerID int, freq
 	}
 	v := m.InterferenceMW(wanted, listenerID, freq)
 	return v, v
-}
-
-// interferenceDirect is the reference ID-ordered sum behind
-// InterferenceMW. It excludes the noise floor.
-func (m *Medium) interferenceDirect(wanted *Transmission, listenerID int, freq phy.MHz) float64 {
-	total := 0.0
-	for _, tx := range m.active {
-		if tx.ID == wanted.ID || tx.Src == listenerID {
-			continue
-		}
-		total += m.inChannelMW(tx, listenerID, freq)
-	}
-	return total
 }

@@ -12,7 +12,7 @@ import (
 	"nonortho/internal/topology"
 )
 
-// The differential oracle: the cached sensing accessors must return values
+// The differential oracle: the sensing accessors must return values
 // bit-identical to a brute-force sum the test maintains itself, under a
 // randomized churn of transmissions starting and ending, listeners
 // detaching and attaching, receivers retuning across channels,
@@ -20,8 +20,8 @@ import (
 // signal the sums leave out. The oracle tracks the on-air set through the
 // public OnAir/OffAir listener callbacks and sums per-transmission powers
 // through the public InChannelPower/RxPower accessors in ID order — its
-// references never read the medium's active slice, epoch counter, or sum
-// caches; it only asserts that the active slice stays in ascending ID
+// references never read the medium's active slice or cached sums; it
+// only asserts that the active slice stays in ascending ID
 // order, the order the medium's own sums rely on. The same churn runs
 // against a dense medium, a near-field snapshot in exact mode
 // (bit-identical by construction), and the far-field fold (bounded
@@ -403,7 +403,7 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 	// cannot must decide exactly as the exact sum alone. A bound hit is a
 	// strict bound that still certified, a bound miss a threshold only the
 	// exact sum certified.
-	boundHits, boundMisses, strictBounds := 0, 0, 0
+	boundHits, boundMisses, strictBounds, exactBounds := 0, 0, 0, 0
 	checkBounds := func(lid int, lo, hi, fresh float64) {
 		t.Helper()
 		if !(lo <= fresh && fresh <= hi) {
@@ -428,6 +428,17 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 				boundMisses++
 			}
 		}
+	}
+
+	// checkExactBounds holds any other listener's bound read to the exact
+	// read that follows it: lo == hi == InterferenceMW, bit for bit.
+	checkExactBounds := func(lid int, lo, hi, exact float64) {
+		t.Helper()
+		if math.Float64bits(lo) != math.Float64bits(exact) || math.Float64bits(hi) != math.Float64bits(exact) {
+			t.Fatalf("t=%v listener %d: non-folded interference bounds [%v, %v], InterferenceMW %v",
+				k.Now(), lid, lo, hi, exact)
+		}
+		exactBounds++
 	}
 
 	foldedSamples, ownSamples := 0, 0
@@ -459,8 +470,10 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 					break
 				}
 			}
-			// Sample twice: the first call fills the per-listener cache,
-			// the second must hit it and return the identical bits.
+			// Sample twice: a folded listener's second read is served
+			// from the sums cached on its list, any other listener's
+			// walks the on-air set again, and both must return the
+			// identical bits.
 			sample := func(v phy.DBm) phy.DBm {
 				if cfg.record != nil {
 					*cfg.record = append(*cfg.record, v)
@@ -473,9 +486,13 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 			}
 			// A receiver's bound-first read comes before the sensing reads
 			// fill the slots exactly, as a segment close can.
-			if nl != nil && len(active) > 0 {
+			if len(active) > 0 {
 				lo, hi := m.InterferenceBoundsMW(active[0], lid, freq)
-				checkBounds(lid, lo, hi, m.interferenceWalk(nl.live(), active[0], lid, freq, nl.far))
+				if nl != nil {
+					checkBounds(lid, lo, hi, m.interferenceWalk(nl.live(), active[0], lid, freq, nl.far))
+				} else {
+					checkExactBounds(lid, lo, hi, m.InterferenceMW(active[0], lid, freq))
+				}
 			}
 			for pass := 0; pass < 2; pass++ {
 				sensed := sample(m.SensedPower(lid, freq))
@@ -499,16 +516,15 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 			wanteds := append(append([]*Transmission(nil), active...), active[0])
 			for _, wanted := range wanteds {
 				for pass := 0; pass < 2; pass++ {
-					var lo, hi float64
-					if nl != nil {
-						lo, hi = m.InterferenceBoundsMW(wanted, lid, freq)
-					}
+					lo, hi := m.InterferenceBoundsMW(wanted, lid, freq)
 					got := m.InterferenceMW(wanted, lid, freq)
 					compareMW(lid, sample(phy.FromMilliwatts(got)), bruteInterference(wanted, lid, freq))
 					if nl != nil {
 						fresh := m.interferenceWalk(nl.live(), wanted, lid, freq, nl.far)
 						checkFresh("InterferenceMW", lid, got, fresh)
 						checkBounds(lid, lo, hi, fresh)
+					} else {
+						checkExactBounds(lid, lo, hi, got)
 					}
 				}
 			}
@@ -611,5 +627,8 @@ func testOracleChurn(t *testing.T, cfg oracleConfig) {
 	}
 	if ownSamples == 0 {
 		t.Fatal("no listener was sampled while transmitting — the own-signal skip was never exercised")
+	}
+	if !cfg.lateBacked && exactBounds == 0 {
+		t.Fatal("no non-folded listener's interference bounds were checked")
 	}
 }
