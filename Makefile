@@ -58,9 +58,10 @@ bench:
 	mkdir -p $(dir $(BENCH_OUT))
 	$(GO) run ./cmd/dcnbench -bench '$(BENCH)' -out $(BENCH_OUT)
 
-## bench-compare: check.sh's same-host gate — time the medium and city
-## fan-out micro-benchmarks in an export of the base commit (HEAD with
-## uncommitted changes, else HEAD^) and in the working tree, and fail if
-## any shared benchmark's ns/op regressed >20% on all 3 attempts.
+## bench-compare: check.sh's same-host compare — time the medium and city
+## fan-out micro-benchmarks in an export of the base commit (HEAD when
+## tracked files changed, else HEAD^) and in the working tree, and fail if
+## any shared benchmark's ns/op regressed >20% on all 3 attempts. It
+## checks one commit against its parent, not cumulative drift.
 bench-compare:
 	./scripts/benchcompare.sh

@@ -9,18 +9,20 @@
 //	dcnbench -bench 'SensedPower|Kernel' -benchtime 100000x -out /dev/stdout
 //	dcnbench -compare old.json new.json            # exit 1 on >20% ns/op regression
 //	dcnbench -compare -threshold 0.5 old.json new.json
-//	dcnbench -compare old1.json,old2.json new1.json,new2.json  # fastest run per side
+//	dcnbench -compare old1.txt,old2.txt new1.txt,new2.txt  # median over paired rounds
 package main
 
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -61,7 +63,7 @@ func run(args []string) error {
 		bench     = fs.String("bench", ".", "benchmark regexp passed to go test -bench")
 		benchtime = fs.String("benchtime", "", "passed to go test -benchtime (default go's own)")
 		pkgs      = fs.String("pkgs", "./...", "comma-separated package patterns to benchmark")
-		compare   = fs.Bool("compare", false, "compare two sides' results: dcnbench -compare old.json new.json (a side may list files with commas)")
+		compare   = fs.Bool("compare", false, "compare two sides' results: dcnbench -compare old.json new.json (a side may list one file per round with commas; a file may be raw go test -bench output)")
 		threshold = fs.Float64("threshold", 0.20, "with -compare: fail when ns/op grows by more than this fraction")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -159,32 +161,74 @@ func benchKey(b Benchmark) string {
 	return b.Package + "." + name
 }
 
-// regression is one shared benchmark whose ns/op moved.
-type regression struct {
+// change is one shared benchmark's move: old and new are the fastest
+// ns/op of the median round, ratio the median of the rounds' new/old.
+type change struct {
 	key      string
 	old, new float64
+	ratio    float64
 }
 
 // compareReports diffs new against old on ns/op for every benchmark present
 // in both, returning the shared count and the entries exceeding threshold,
-// in new's order. A benchmark a report lists more than once counts at its
-// fastest run: on a shared host, noise only ever adds time.
-func compareReports(old, new Report, threshold float64) (shared int, regs []regression) {
-	oldNs, newNs := fastest(old), fastest(new)
-	for _, b := range new.Benchmarks {
-		key := benchKey(b)
-		was, ok := oldNs[key]
-		now, okNew := newNs[key]
-		if !ok || !okNew || was <= 0 {
-			continue
-		}
-		delete(newNs, key) // later runs of key are already folded in
-		shared++
-		if now/was-1 > threshold {
-			regs = append(regs, regression{key: key, old: was, new: now})
+// in new's order. It compares a single round.
+func compareReports(old, new Report, threshold float64) (shared int, regs []change) {
+	changes := compareRounds([]Report{old}, []Report{new})
+	return len(changes), regressions(changes, threshold)
+}
+
+// regressions returns the changes whose ns/op grew by more than threshold.
+func regressions(changes []change, threshold float64) []change {
+	var regs []change
+	for _, c := range changes {
+		if c.ratio-1 > threshold {
+			regs = append(regs, c)
 		}
 	}
-	return shared, regs
+	return regs
+}
+
+// compareRounds compares two sides' runs round by round, returning one
+// change per shared benchmark in new's order: old[i] was run next to
+// new[i], and both lists have the same length. Within a round a
+// benchmark listed more than once counts at its fastest run, since on a
+// shared host noise only ever adds time; a benchmark's change is the
+// median over the rounds that ran it on both sides of its new/old ratio,
+// so a slow spell that falls on one side of a few rounds does not move
+// it. A benchmark is shared when some round ran it on both sides.
+func compareRounds(old, new []Report) []change {
+	type pair struct{ old, new float64 }
+	byKey := make(map[string][]pair)
+	var order []string
+	for i := range new {
+		oldNs, newNs := fastest(old[i]), fastest(new[i])
+		for _, b := range new[i].Benchmarks {
+			key := benchKey(b)
+			was, ok := oldNs[key]
+			now, okNew := newNs[key]
+			if !ok || !okNew || was <= 0 {
+				continue
+			}
+			delete(newNs, key) // later runs of key are already folded in
+			if _, seen := byKey[key]; !seen {
+				order = append(order, key)
+			}
+			byKey[key] = append(byKey[key], pair{was, now})
+		}
+	}
+	changes := make([]change, 0, len(order))
+	for _, key := range order {
+		pairs := byKey[key]
+		slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.new/a.old, b.new/b.old) })
+		mid := pairs[len(pairs)/2]
+		ratio := mid.new / mid.old
+		if len(pairs)%2 == 0 {
+			lo := pairs[len(pairs)/2-1]
+			ratio = (ratio + lo.new/lo.old) / 2
+		}
+		changes = append(changes, change{key: key, old: mid.old, new: mid.new, ratio: ratio})
+	}
+	return changes
 }
 
 // fastest maps each benchmark key in rep to its lowest ns/op.
@@ -202,43 +246,69 @@ func fastest(rep Report) map[string]float64 {
 	return ns
 }
 
-// readReport reads a comma-separated list of result files as one report
-// holding all their benchmarks.
-func readReport(paths string) (Report, error) {
-	var all Report
+// readRounds reads a comma-separated list of result files, one report
+// per file. A file is either a dcnbench JSON report or the raw output of
+// `go test -bench` (or of a test binary run with -test.bench).
+func readRounds(paths string) ([]Report, error) {
+	var reps []Report
 	for _, path := range strings.Split(paths, ",") {
 		var rep Report
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return all, err
+			return nil, err
 		}
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return all, fmt.Errorf("%s: %w", path, err)
+		if bytes.HasPrefix(bytes.TrimSpace(data), []byte("{")) {
+			err = json.Unmarshal(data, &rep)
+		} else {
+			err = parseInto(&rep, bytes.NewBuffer(data))
 		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		reps = append(reps, rep)
+	}
+	return reps, nil
+}
+
+// pooled merges reports into one holding all their benchmarks.
+func pooled(reps []Report) []Report {
+	var all Report
+	for _, rep := range reps {
 		all.Benchmarks = append(all.Benchmarks, rep.Benchmarks...)
 	}
-	return all, nil
+	return []Report{all}
 }
 
 // runCompare implements -compare: non-nil error (and so a non-zero exit)
 // when any shared benchmark's ns/op regressed by more than threshold.
+// When both sides list the same number of files, file i of one side is
+// round i of the other; otherwise each side's files pool into one round.
 func runCompare(oldPaths, newPaths string, threshold float64, w *os.File) error {
-	old, err := readReport(oldPaths)
+	old, err := readRounds(oldPaths)
 	if err != nil {
 		return err
 	}
-	cur, err := readReport(newPaths)
+	cur, err := readRounds(newPaths)
 	if err != nil {
 		return err
 	}
-	shared, regs := compareReports(old, cur, threshold)
-	if shared == 0 {
+	if len(old) != len(cur) {
+		old, cur = pooled(old), pooled(cur)
+	}
+	changes := compareRounds(old, cur)
+	if len(changes) == 0 {
 		return fmt.Errorf("no shared ns/op benchmarks between %s and %s", oldPaths, newPaths)
 	}
-	fmt.Fprintf(w, "compared %d shared benchmarks (threshold +%.0f%% ns/op)\n", shared, threshold*100)
-	for _, r := range regs {
-		fmt.Fprintf(w, "REGRESSION %s: %.4g -> %.4g ns/op (%+.1f%%)\n",
-			r.key, r.old, r.new, (r.new/r.old-1)*100)
+	fmt.Fprintf(w, "compared %d shared benchmarks over %d round(s) (threshold +%.0f%% ns/op)\n",
+		len(changes), len(cur), threshold*100)
+	regs := regressions(changes, threshold)
+	for _, c := range changes {
+		verdict := "ok"
+		if c.ratio-1 > threshold {
+			verdict = "REGRESSION"
+		}
+		fmt.Fprintf(w, "%s %s: %+.1f%% (median round: %.4g -> %.4g ns/op)\n",
+			verdict, c.key, (c.ratio-1)*100, c.old, c.new)
 	}
 	if len(regs) > 0 {
 		return fmt.Errorf("%d benchmark(s) regressed beyond +%.0f%%", len(regs), threshold*100)

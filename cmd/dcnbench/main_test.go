@@ -113,6 +113,30 @@ func TestCompareTakesFastestRun(t *testing.T) {
 	}
 }
 
+// TestCompareRoundsTakesMedianRatio: with paired rounds, a fast spell that
+// only one side's run caught moves one round, not the verdict, while a
+// slowdown in most rounds fails.
+func TestCompareRoundsTakesMedianRatio(t *testing.T) {
+	rounds := func(ns ...float64) []Report {
+		reps := make([]Report, len(ns))
+		for i, v := range ns {
+			reps[i] = Report{Benchmarks: []Benchmark{benchResult("p", "BenchmarkA", v)}}
+		}
+		return reps
+	}
+	old := rounds(75, 100, 100, 100, 100) // round 1 caught a fast spell
+	if changes := compareRounds(old, rounds(100, 102, 99, 103, 101)); len(changes) != 1 || changes[0].ratio != 1.02 {
+		t.Fatalf("one-sided fast spell: changes = %+v; want one at ratio 1.02", changes)
+	}
+	// Pooled, the same runs compare 99 against 75: +32%.
+	if _, regs := compareReports(pooled(old)[0], pooled(rounds(100, 102, 99, 103, 101))[0], 0.20); len(regs) != 1 {
+		t.Fatalf("pooled runs: regressions = %+v, want one", regs)
+	}
+	if regs := regressions(compareRounds(old, rounds(100, 125, 126, 99, 124)), 0.20); len(regs) != 1 || regs[0].ratio != 1.25 {
+		t.Fatalf("slow in most rounds: regressions = %+v, want one at ratio 1.25", regs)
+	}
+}
+
 func TestBenchKeyStripsGomaxprocsSuffix(t *testing.T) {
 	for name, want := range map[string]string{
 		"BenchmarkA-8":             "p.BenchmarkA",
@@ -148,12 +172,37 @@ func TestRunCompareEndToEnd(t *testing.T) {
 	if err := run([]string{"-compare", old, same}); err != nil {
 		t.Errorf("steady result failed compare: %v", err)
 	}
-	// A side may list several result files; its fastest run counts.
+	// Sides listing different numbers of result files pool each side's
+	// files; its fastest run counts.
 	if err := run([]string{"-compare", old, worse + "," + same}); err != nil {
 		t.Errorf("fastest of two runs failed compare: %v", err)
 	}
+	// Equal-length lists pair up as rounds: one slow round of three is
+	// outvoted.
+	if err := run([]string{"-compare", old + "," + old + "," + old, same + "," + worse + "," + same}); err != nil {
+		t.Errorf("one slow round of three failed compare: %v", err)
+	}
 	if err := run([]string{"-compare", old, worse + "," + edge + ",missing.json"}); err == nil {
 		t.Error("a missing result file passed compare")
+	}
+	// A side may also be raw `go test -bench` output, as a test binary
+	// run with -test.bench prints it.
+	raw := func(name string, ns ...string) string {
+		text := "goos: linux\npkg: p\n"
+		for _, v := range ns {
+			text += "BenchmarkA-2   \t 3000\t " + v + " ns/op\t 0 B/op\t 0 allocs/op\n"
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(text+"PASS\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	if err := run([]string{"-compare", old, raw("raw-same.txt", "300", "101")}); err != nil {
+		t.Errorf("raw output's fastest run failed compare: %v", err)
+	}
+	if err := run([]string{"-compare", old, raw("raw-worse.txt", "300", "125")}); err == nil {
+		t.Error("raw output 25% slower in every run passed compare")
 	}
 	// The gate is strictly greater-than: exactly +20% on the default 0.20
 	// threshold is still exit 0, so a result hovering on the line never
