@@ -1,7 +1,6 @@
 GO ?= go
 BENCH ?= .
-# The default output is gitignored, so a local run never overwrites the
-# committed BENCH_PR*.json artifacts.
+# The default output is gitignored, so a local run leaves the tree clean.
 BENCH_OUT ?= .bench_build/bench.json
 
 # Pinned third-party analyzer versions for `make lint-full` (LINT_FULL=1).

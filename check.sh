@@ -62,11 +62,12 @@ go test -count=1 -run "$phy_exact" ./internal/phy
 echo "== medium sensing oracle tests under -race"
 # The medium's correctness surface, run first and by name: the
 # brute-force sensing oracle, the spatial-exact bit-identity replay, the
-# folded-mode bounded-error oracle and the lock-on reachability decision
-# table, then the kernel's own tests. A sensing, spatial-tier, lock-on or
+# folded-mode bounded-error oracle, the lock-on reachability decision
+# table and the churned city cell's folded reads against fresh walks,
+# then the kernel's own tests. A sensing, spatial-tier, lock-on or
 # scheduler bug fails here in seconds instead of somewhere inside the
 # full suite below.
-medium_race='TestCachedSumsMatchBruteForce|TestSpatialExactChurnBitIdentical|TestFoldedChurnBoundedError|TestReachableDecisionTable'
+medium_race='TestCachedSumsMatchBruteForce|TestSpatialExactChurnBitIdentical|TestFoldedChurnBoundedError|TestReachableDecisionTable|TestFoldedReadsServedFromList'
 require_tests ./internal/medium "$medium_race"
 go test -race -count=1 -run "$medium_race" ./internal/medium
 go test -race -count=1 ./internal/sim
@@ -96,11 +97,10 @@ go run ./cmd/dcnbench -bench 'CellSetup' \
 	-benchtime 1x -pkgs ./internal/testbed -out /dev/null
 # City-scale smoke: one iteration proves the spatial-tier benchmarks still
 # set up (near snapshot build, far-field fold, the 5,000-listener fan-out,
-# the busy 1,000-node folded read, the churned folded reads served from
-# the near-active lists, the same churn read bound-first as a receiving
-# radio reads it, the wake-filtered fan-out among 1,000 radios) without
-# paying measurement time.
-go run ./cmd/dcnbench -bench 'SensedPower5kNodes|OnAirFanout5kNodes|InterferenceFoldedBusy|InterferenceFoldedChurn|InterferenceBoundChurn|OnAirFanoutCityRadios' \
+# the busy 1,000-node folded read, the churned folded reads a receiving
+# radio makes, bound-first, the wake-filtered fan-out among 1,000 radios)
+# without paying measurement time.
+go run ./cmd/dcnbench -bench 'SensedPower5kNodes|OnAirFanout5kNodes|InterferenceFoldedBusy|InterferenceBoundChurn|OnAirFanoutCityRadios' \
 	-benchtime 1x -pkgs ./internal/medium,./internal/radio -out /dev/null
 # Lint-gate smoke: one iteration of the whole-module analyzer run keeps
 # the interprocedural engine's cost visible in the bench artifacts.

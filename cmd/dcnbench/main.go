@@ -1,7 +1,7 @@
 // Command dcnbench runs the repository's microbenchmarks through
-// `go test -bench` and writes the parsed results as JSON, so perf
-// changes can be tracked as committed artifacts (see BENCH_PR3.json).
-// It can also diff two such artifacts and fail on regressions.
+// `go test -bench` and writes the parsed results as JSON, so two runs
+// can be compared. It can also diff two such reports and fail on
+// regressions.
 //
 // Usage:
 //

@@ -43,34 +43,38 @@ import (
 //	slice_ms_p50          33.6      187
 //	live_heap_mb          32.8     74.2   (dense O(n²) link rows)
 //
-// A folded read costs O(entries changed since the listener's last read).
 // Each backed listener keeps the transmissions its sums visit on its own
-// ID-ordered list, maintained when a transmission goes on or off the air,
-// and caches its sums on that list, keyed by the list's own changes: a
-// read after changes beyond the listener's near field is a hit, a read
-// after appends only adds the new tail, and an exact read after a removal
-// walks the list. A removal is almost always of the list's oldest entry,
-// so it only advances the list's head.
+// ID-ordered list, maintained when a transmission goes on or off the air.
+// A removal is almost always of the list's oldest entry, so it only
+// advances the list's head. The list caches one total per question the
+// radio asks of the channel, keyed by the list's own changes, so a read
+// after changes beyond the listener's near field is a hit and a read
+// after appends only adds the new tail:
 //
-// A receiving radio reads its interference bound-first: its segment
-// certificate only compares the sum with a threshold, and rounded
-// addition of non-negative terms is monotone, so a cached total from
-// which terms were since removed still bounds the sum from above. The
-// bound read adds only the entries appended since, each through mwUpper
-// (a table read) instead of a power of ten, and the exact sum is read
-// only when the bound cannot certify the segment. The certificates, the
-// fading draws and every output stay bit-identical. Over city-1k seeds
-// 1–10 (1 s warmup, 1 s measured) the folded reads visit 5.97M list
-// entries instead of 16.2M, walk 96k times instead of 677k, and convert
-// 1.73M powers of ten instead of 3.63M; 69k of 2.34M bound reads are
-// followed by an exact read. In 10 alternating 30 s pairs on the VM
-// above, city-1k's sim_s_per_wall_s read 30.8, against 24.8 when every
-// read was exact and a deletion shifted the list, faster in 10 of 10.
+//   - sensed, the CCA reading (SensedPower). A read after a removal walks
+//     the list.
+//   - interf, the receiver's interference total. A receiving radio reads
+//     it bound-first: its segment certificate only compares the sum with
+//     a threshold, and rounded addition of non-negative terms is
+//     monotone, so a cached total from which terms were since removed
+//     still bounds the sum from above. The bound read adds only the
+//     entries appended since, each through mwUpper (a table read) instead
+//     of a power of ten. The exact sum is read only when the bound cannot
+//     certify the segment; it walks the list and leaves its exact total
+//     for the bound reads that follow.
 //
-// BenchmarkInterferenceFoldedBusy times a walk with 400 transmissions on
-// the air, BenchmarkInterferenceFoldedChurn times exact reads as a busy
-// cell makes them, and BenchmarkInterferenceBoundChurn the same cell read
-// bound-first.
+// The co-channel reading, which only the oracle CCA policy makes, walks
+// the list on every call. The certificates, the fading draws and every
+// output stay bit-identical. Over city-1k seeds 1–10 (1 s warmup, 1 s
+// measured) 2.34M bound reads visit 3.39M list entries and 105k exact
+// reads visit 3.06M; in 10 alternating 30 s pairs on the VM above,
+// bound-first reads lifted city-1k's sim_s_per_wall_s from 24.8, when
+// every read was exact, to 30.8 (EXPERIMENTS.md, "City tier,
+// bound-certified segments" and "One folded cache per question").
+//
+// BenchmarkInterferenceFoldedBusy times an exact read's walk with 400
+// transmissions on the air, and BenchmarkInterferenceBoundChurn the reads
+// a receiving radio makes on a busy cell.
 
 // WithFarField enables far-field folding with the given error budget in dB:
 // the maximum amount the aggregate far-field term may lift any listener's
@@ -135,8 +139,10 @@ func (m *Medium) resolveFarField() {
 	m.reach = make([]reachMark, m.farN)
 }
 
-// nearList is a backed listener's near-active list and the folded sums
-// cached on it. The list is entries[head:]. Entries are only appended at
+// nearList is a backed listener's near-active list and the two folded
+// totals cached on it: sensed, the CCA reading, and interf, the
+// interference total bound-first reads resume from and every exact read
+// overwrites. The list is entries[head:]. Entries are only appended at
 // the tail (IDs only grow) or deleted, and every deletion bumps removed. A
 // deletion at the head, the usual one, only advances head; push slides
 // the live entries down once the dead prefix fills a quarter of the
@@ -150,12 +156,8 @@ type nearList struct {
 	// far is the aggregate worst-case far-field power at the listener in
 	// milliwatts: one fade-free maximum-power transmission at the floor
 	// loss per far source. Every folded sum starts from it.
-	far                  float64
-	sensed, coch, interf foldSum
-	// interfHi is the bound-first interference reads' total, kept apart
-	// from the exact one so an exact read after a bound miss can still
-	// extend interf.
-	interfHi foldSum
+	far            float64
+	sensed, interf foldSum
 }
 
 // nearEntry is one transmission on a backed listener's near-active list,
@@ -213,18 +215,16 @@ func (nl *nearList) remove(tx *Transmission) {
 	}
 }
 
-// foldSum is one folded sum memoized on a near-active list: the raw
-// milliwatt total (far-field term and, for the sensing sums, the noise
-// floor included) over the list's entries with IDs below upto, for one
-// receiver tuning and — InterferenceMW only — one left-out wanted
-// transmission. The total is exact while the list's removal count is
-// still removed and bound is clear; only nearList.interfHi sets bound.
-// Otherwise it is a certified upper bound of the exact sum over the
-// entries below upto still on the list: rounded addition is monotone in
-// each operand and every term is non-negative, so a left-to-right sum
-// that skips removed terms, or adds an upper bound in place of a term,
-// never exceeds the one that added the terms exactly. dbm caches the
-// sensing sums' conversion of mw.
+// foldSum is one folded total memoized on a near-active list: the raw
+// milliwatt total (far-field term and, for sensed, the noise floor
+// included) over the list's entries with IDs below upto, for one receiver
+// tuning and — interf only — one left-out wanted transmission. sensed is
+// exact while the list's removal count is still removed, and dbm caches
+// its conversion of mw. interf is a certified upper bound of the exact
+// sum over the entries below upto still on the list: rounded addition is
+// monotone in each operand and every term is non-negative, so a
+// left-to-right sum that skips removed terms, or adds an upper bound in
+// place of a term, never exceeds the one that added the terms exactly.
 type foldSum struct {
 	freq    phy.MHz
 	wanted  uint64
@@ -233,19 +233,16 @@ type foldSum struct {
 	mw      float64
 	dbm     phy.DBm
 	valid   bool
-	bound   bool
 }
 
-// foldStats counts how folded reads were served: from the cache unchanged
-// (hits), by summing only the entries appended since the cached read
-// (extends), or by a walk of the whole list (walks), and the list entries
-// the extensions and walks visited. boundReads counts the reads that
-// asked only for an upper bound, and boundMisses the exact interference
-// reads that found a bound cached under their key: the bound before them
-// could not decide.
+// foldStats counts how folded reads were served: from the cached total
+// unchanged (hits), by summing only the entries appended since the cached
+// read (extends), or by a walk of the whole list (walks), and the list
+// entries the extensions and walks visited. boundReads counts the reads
+// that asked only for an upper bound.
 type foldStats struct {
 	hits, extends, walks, visited uint64
-	boundReads, boundMisses       uint64
+	boundReads                    uint64
 }
 
 // since returns the index in live, the list's entries, of the first entry
@@ -264,17 +261,17 @@ func (nl *nearList) since(live []nearEntry, upto uint64) int {
 	return i
 }
 
-// resume returns where an exact folded read keyed (freq, wanted) continues
-// on nl: ok=false on a hit, when c already holds the answer; otherwise the
-// index of the first entry to add and the total to add it to. A read
-// extends the cached total only when nothing was removed since, so it
-// performs exactly the additions, in the same order, that a walk of the
-// whole list from base would: the result is bit-identical, and so is the
-// order of the lazy fading draws, since the cached entries' draws were
-// made by the read that cached them.
-func (m *Medium) resume(nl *nearList, c *foldSum, freq phy.MHz, wanted uint64, base float64) (start int, total float64, ok bool) {
+// resume returns where an exact folded read tuned to freq continues on nl
+// from the total c cached: ok=false on a hit, when c already holds the
+// answer; otherwise the index of the first entry to add and the total to
+// add it to. A read extends the cached total only when nothing was
+// removed since, so it performs exactly the additions, in the same order,
+// that a walk of the whole list from base would: the result is
+// bit-identical, and so is the order of the lazy fading draws, since the
+// cached entries' draws were made by the read that cached them.
+func (m *Medium) resume(nl *nearList, c *foldSum, freq phy.MHz, base float64) (start int, total float64, ok bool) {
 	live := nl.live()
-	if c.serves(nl, freq, wanted) {
+	if c.valid && c.removed == nl.removed && c.freq == freq {
 		if start = nl.since(live, c.upto); start == len(live) {
 			m.folds.hits++
 			return 0, 0, false
@@ -283,20 +280,19 @@ func (m *Medium) resume(nl *nearList, c *foldSum, freq phy.MHz, wanted uint64, b
 		m.folds.visited += uint64(len(live) - start)
 		return start, c.mw, true
 	}
-	m.folds.walks++
-	m.folds.visited += uint64(len(live))
+	m.walked(live)
 	return 0, base, true
 }
 
-// serves reports whether c holds an exact total under the key (freq,
-// wanted) that appends since can extend.
-func (c *foldSum) serves(nl *nearList, freq phy.MHz, wanted uint64) bool {
-	return c.valid && !c.bound && c.removed == nl.removed && c.freq == freq && c.wanted == wanted
+// walked counts a read that walks the whole of live.
+func (m *Medium) walked(live []nearEntry) {
+	m.folds.walks++
+	m.folds.visited += uint64(len(live))
 }
 
 // store records a folded read's total over the whole of nl in c.
-func (c *foldSum) store(nl *nearList, freq phy.MHz, wanted uint64, mw float64, bound bool) {
-	*c = foldSum{freq: freq, wanted: wanted, removed: nl.removed, upto: nl.upto, mw: mw, valid: true, bound: bound}
+func (c *foldSum) store(nl *nearList, freq phy.MHz, wanted uint64, mw float64) {
+	*c = foldSum{freq: freq, wanted: wanted, removed: nl.removed, upto: nl.upto, mw: mw, valid: true}
 }
 
 // reachMark is the pair loss markReach leaves for one listener in the
@@ -422,18 +418,19 @@ func (m *Medium) seedNear(listenerID int) {
 // The folded sums. A backed listener's sums visit its near-active list —
 // in ascending ID order, the order the exact sums visit the active set in —
 // and add the certified aggregate of everything beyond it (nearList.far).
-// Each sum is cached on the list (resume), so a read after on-air changes
-// beyond the listener's near field is a hit and a read after appends only
-// adds the new tail. Each entry's link slot is taken by its stored rank;
-// only a source outside the near row (an unbounded transmission from
-// afar) goes through spatialSlot to the spill map.
+// Each entry's link slot is taken by its stored rank; only a source
+// outside the near row (an unbounded transmission from afar) goes through
+// spatialSlot to the spill map.
 //
-// The interference sum also has a bound-first read
-// (interferenceBoundFolded), for a caller that only compares the sum with
-// a threshold: it adds to the cached total, exact or bound, only the
-// entries appended since, and fills a slot it visits first with the
-// entry's in-channel level in dBm, whose conversion (inLazy) it replaces
-// by mwUpper. The exact reads convert such a slot when they visit it.
+// The sensing sum is cached on the list (resume), so a read after on-air
+// changes beyond the listener's near field is a hit and a read after
+// appends only adds the new tail. The interference sum has a bound-first
+// read (interferenceBoundFolded), for a caller that only compares the sum
+// with a threshold: it adds to the cached total only the entries appended
+// since, and fills a slot it visits first with the entry's in-channel
+// level in dBm, whose conversion (inLazy) it replaces by mwUpper. The
+// exact reads, interference and co-channel, walk the list; they convert a
+// lazy slot when they visit it.
 
 // nearSlot returns the listener's link slot for a near-active entry, rekeyed
 // to the entry's transmission exactly as powerSlot rekeys.
@@ -475,9 +472,9 @@ func (m *Medium) nearRx(s *linkSlot, e nearEntry, listenerID int) phy.DBm {
 func (m *Medium) sensedPowerFolded(listenerID int, freq phy.MHz) phy.DBm {
 	nl := &m.near[listenerID]
 	c := &nl.sensed
-	start, total, ok := m.resume(nl, c, freq, 0, phy.NoiseFloorMW+nl.far)
+	start, total, ok := m.resume(nl, c, freq, phy.NoiseFloorMW+nl.far)
 	if ok {
-		c.store(nl, freq, 0, m.sensedWalk(nl.live()[start:], listenerID, freq, total), false)
+		c.store(nl, freq, 0, m.sensedWalk(nl.live()[start:], listenerID, freq, total))
 		c.dbm = phy.FromMilliwatts(c.mw)
 	}
 	return c.dbm
@@ -507,16 +504,13 @@ func (m *Medium) sensedWalk(entries []nearEntry, listenerID int, freq phy.MHz, t
 	return total
 }
 
-// sensedCoChannelFolded is SensedCoChannelPower for a backed listener.
+// sensedCoChannelFolded is SensedCoChannelPower for a backed listener: a
+// walk of its near-active list.
 func (m *Medium) sensedCoChannelFolded(listenerID int, freq phy.MHz) phy.DBm {
 	nl := &m.near[listenerID]
-	c := &nl.coch
-	start, total, ok := m.resume(nl, c, freq, 0, phy.NoiseFloorMW+nl.far)
-	if ok {
-		c.store(nl, freq, 0, m.coChannelWalk(nl.live()[start:], listenerID, freq, total), false)
-		c.dbm = phy.FromMilliwatts(c.mw)
-	}
-	return c.dbm
+	live := nl.live()
+	m.walked(live)
+	return phy.FromMilliwatts(m.coChannelWalk(live, listenerID, freq, phy.NoiseFloorMW+nl.far))
 }
 
 // coChannelWalk adds the received power of each entry on freq not from the
@@ -536,28 +530,17 @@ func (m *Medium) coChannelWalk(entries []nearEntry, listenerID int, freq phy.MHz
 	return total
 }
 
-// interferenceFolded is InterferenceMW for a backed listener. It includes
-// the far-field term: a receiver's SINR denominator must account for the
-// folded far field. It never extends a bound: after a bound read under its
-// key it adopts that read's total only when it is exact, and otherwise (a
-// bound miss) resumes from its own exact total, which a removal since
-// makes it walk.
+// interferenceFolded is InterferenceMW for a backed listener: a walk of
+// its near-active list from the far-field term, since a receiver's SINR
+// denominator must account for the folded far field. The exact total
+// replaces the cached interf, so the bound reads that follow resume from
+// it.
 func (m *Medium) interferenceFolded(wanted *Transmission, listenerID int, freq phy.MHz) float64 {
 	nl := &m.near[listenerID]
-	c, h := &nl.interf, &nl.interfHi
-	switch {
-	case h.serves(nl, freq, wanted.ID):
-		if !c.serves(nl, freq, wanted.ID) || c.upto < h.upto {
-			*c = *h
-		}
-	case h.valid && h.freq == freq && h.wanted == wanted.ID:
-		m.folds.boundMisses++
-	}
-	start, total, ok := m.resume(nl, c, freq, wanted.ID, nl.far)
-	if ok {
-		c.store(nl, freq, wanted.ID, m.interferenceWalk(nl.live()[start:], wanted, listenerID, freq, total), false)
-	}
-	return c.mw
+	live := nl.live()
+	m.walked(live)
+	nl.interf.store(nl, freq, wanted.ID, m.interferenceWalk(live, wanted, listenerID, freq, nl.far))
+	return nl.interf.mw
 }
 
 // interferenceWalk adds the in-channel power of each entry other than
@@ -583,44 +566,32 @@ func (m *Medium) interferenceWalk(entries []nearEntry, wanted *Transmission, lis
 }
 
 // interferenceBoundFolded returns an upper bound of interferenceFolded's
-// value for the same arguments, and caches it under their key in
-// interfHi. It resumes from the more recent of the exact total and the
-// bound total that bound the sum (coversWanted), adding only the entries
-// appended since, so a removal costs nothing; with neither it walks the
-// list from the far-field term. Either way it visits every entry an exact
-// read would visit first, filling its slot in the same order, so the lazy
-// fading and shadowing draws match the exact read's. The total stays
-// exact while nothing was removed and no bound was added: a total for
-// another wanted transmission is then one that left nothing out.
+// value for the same arguments, and caches it under their key in interf.
+// When the cached total bounds the sum (coversWanted) it adds only the
+// entries appended since, so a removal costs nothing; otherwise it walks
+// the list from the far-field term. Either way it visits every entry an
+// exact read would visit first, filling its slot in the same order, so
+// the lazy fading and shadowing draws match the exact read's.
 func (m *Medium) interferenceBoundFolded(wanted *Transmission, listenerID int, freq phy.MHz) float64 {
 	nl := &m.near[listenerID]
-	c, h := &nl.interf, &nl.interfHi
+	c := &nl.interf
 	live := nl.live()
 	m.folds.boundReads++
-	var from *foldSum
-	if h.valid && h.freq == freq && h.coversWanted(live, wanted.ID) {
-		from = h
+	if !c.valid || c.freq != freq || !c.coversWanted(live, wanted.ID) {
+		m.walked(live)
+		c.store(nl, freq, wanted.ID, m.interferenceBoundWalk(live, wanted, listenerID, freq, nl.far))
+		return c.mw
 	}
-	if c.valid && c.removed == nl.removed && c.freq == freq && c.coversWanted(live, wanted.ID) && (from == nil || c.upto >= h.upto) {
-		from = c
+	start := nl.since(live, c.upto)
+	if start == len(live) {
+		m.folds.hits++
+		c.wanted = wanted.ID
+		return c.mw
 	}
-	start, total, exact := 0, nl.far, true
-	if from != nil {
-		start, total, exact = nl.since(live, from.upto), from.mw, !from.bound && from.removed == nl.removed
-		if start == len(live) {
-			m.folds.hits++
-			*h = *from
-			h.wanted, h.bound, h.removed = wanted.ID, !exact, nl.removed
-			return total
-		}
-		m.folds.extends++
-	} else {
-		m.folds.walks++
-	}
+	m.folds.extends++
 	m.folds.visited += uint64(len(live) - start)
-	total, exact = m.interferenceBoundWalk(live[start:], wanted, listenerID, freq, total, exact)
-	h.store(nl, freq, wanted.ID, total, !exact)
-	return total
+	c.store(nl, freq, wanted.ID, m.interferenceBoundWalk(live[start:], wanted, listenerID, freq, c.mw))
+	return c.mw
 }
 
 // coversWanted reports whether c's interference total, with the entries
@@ -647,9 +618,8 @@ func (c *foldSum) coversWanted(live []nearEntry, wanted uint64) bool {
 
 // interferenceBoundWalk is interferenceWalk that fills a slot it visits
 // first with the entry's in-channel level in dBm (inLazy) and adds
-// mwUpper of a lazy slot; exact reports whether every term it added was
-// exact and exact was set on entry.
-func (m *Medium) interferenceBoundWalk(entries []nearEntry, wanted *Transmission, listenerID int, freq phy.MHz, total float64, exact bool) (float64, bool) {
+// mwUpper of a lazy slot.
+func (m *Medium) interferenceBoundWalk(entries []nearEntry, wanted *Transmission, listenerID int, freq phy.MHz, total float64) float64 {
 	for _, e := range entries {
 		if e.tx.ID == wanted.ID || e.tx.Src == listenerID {
 			continue
@@ -663,12 +633,11 @@ func (m *Medium) interferenceBoundWalk(entries []nearEntry, wanted *Transmission
 		}
 		if s.inLazy {
 			total += mwUpper(phy.DBm(s.inMW))
-			exact = false
 		} else {
 			total += s.inMW
 		}
 	}
-	return total, exact
+	return total
 }
 
 // mwUpper returns an upper bound of d.Milliwatts() without a power of

@@ -146,27 +146,37 @@ func TestFoldedUnbackedFallbacks(t *testing.T) {
 }
 
 // TestFoldedReadsServedFromList churns the city cell the way receiving
-// radios read it and holds every read to the bits of a fresh walk of the
-// reader's near-active list. The read counters must show hits and tail
-// extensions: a fold whose caches every on-air change invalidated would
-// return the same bits, every read a walk, and fail here.
+// radios read it, a bound read and then the exact read at each reader. It
+// holds the exact read to the bits of a fresh walk of the reader's
+// near-active list, and the bound to at least that walk. The bound reads
+// must hit and extend the total cached on the list: a fold whose cache
+// every on-air change invalidated would return the same bounds, every
+// bound read a walk, and fail here.
 func TestFoldedReadsServedFromList(t *testing.T) {
 	c := newCityChurn(t)
-	before := c.m.folds
+	var hits, extends, walks uint64
 	for i := 800; i < 1200; i++ {
 		c.advance(i)
 		for _, r := range c.readers {
+			before := c.m.folds
+			_, hi := c.m.InterferenceBoundsMW(c.locked, r, c.probes[r].band)
+			st := c.m.folds
+			hits += st.hits - before.hits
+			extends += st.extends - before.extends
+			walks += st.walks - before.walks
 			got := c.read(r)
 			nl := &c.m.near[r]
-			if fresh := c.m.interferenceWalk(nl.live(), c.locked, r, c.probes[r].band, nl.far); got != fresh {
+			fresh := c.m.interferenceWalk(nl.live(), c.locked, r, c.probes[r].band, nl.far)
+			if math.Float64bits(got) != math.Float64bits(fresh) {
 				t.Fatalf("step %d reader %d: InterferenceMW = %v, a fresh walk of its list %v", i, r, got, fresh)
+			}
+			if !(fresh <= hi) {
+				t.Fatalf("step %d reader %d: bound %v below a fresh walk of its list %v", i, r, hi, fresh)
 			}
 		}
 	}
-	st := c.m.folds
-	hits, extends, walks := st.hits-before.hits, st.extends-before.extends, st.walks-before.walks
-	t.Logf("%d hits, %d extensions, %d walks", hits, extends, walks)
+	t.Logf("bound reads: %d hits, %d extensions, %d walks", hits, extends, walks)
 	if hits == 0 || extends == 0 {
-		t.Fatalf("%d hits, %d extensions, %d walks: the churn's reads must hit and extend", hits, extends, walks)
+		t.Fatalf("bound reads: %d hits, %d extensions, %d walks: the churn's bound reads must hit and extend", hits, extends, walks)
 	}
 }

@@ -188,7 +188,7 @@ type Medium struct {
 	rows [][]linkSlot
 	// rejDB caches the rejection curve per signed frequency offset — the
 	// set of channel-pair offsets in a run is tiny and fixed.
-	rejDB    map[phy.MHz]float64
+	rejDB    []rejMemo
 	nextTxID uint64
 	dstats   DisseminationStats
 
@@ -199,10 +199,11 @@ type Medium struct {
 	// listener's position is snapshot-backed, near holds (in the same
 	// lockstep) each backed listener's ID-ordered near-active list — the
 	// transmissions its folded sums visit, each with its source's rank in
-	// the listener's link row — and the sums cached on it, spill backs
-	// link slots outside the rank-indexed rows, reach and reachTx hold the
-	// pair losses Reachable answers from during a bounded transmission's
-	// OnAir fan-out, and folds counts how folded reads were served.
+	// the listener's link row — and the two totals cached on it, the CCA
+	// reading and the interference total; spill backs link slots outside
+	// the rank-indexed rows, reach and reachTx hold the pair losses
+	// Reachable answers from during a bounded transmission's OnAir
+	// fan-out, and folds counts how folded reads were served.
 	farBudgetDB float64
 	spatial     bool
 	farUnitMW   float64
@@ -254,7 +255,6 @@ func New(k *sim.Kernel, opts ...Option) *Medium {
 		staticSigma: 3,
 		fadingRNG:   k.Stream("medium.fading"),
 		staticRNG:   k.Stream("medium.static"),
-		rejDB:       make(map[phy.MHz]float64),
 	}
 	for _, o := range opts {
 		o(m)
@@ -472,7 +472,7 @@ func (m *Medium) DisseminationStats() DisseminationStats { return m.dstats }
 // ascending attach-ID order, to the live listeners whose class selects it:
 // the WakeAll listeners, plus the WakeTuned listeners of tx's frequency for
 // an OnAir, or tx's source for an OffAir. Non-orthogonal channels leak into
-// their neighbours, so a receiving radio stays WakeAll and observes every
+// their neighbours, so a receiving radio stays WakeAll and sees every
 // event. When a callback changes any class (wakeGen moved), the current
 // delivery word is re-read with the IDs already passed masked off, so a
 // handler's SetWake or Detach on a later listener takes effect within the
@@ -801,15 +801,24 @@ func (m *Medium) inChannel(tx *Transmission, rx phy.DBm, freq phy.MHz) phy.DBm {
 	return rx - phy.DBm(m.rejectionDB(tx.Freq-freq))
 }
 
+// rejMemo is one memoized point of the rejection curve.
+type rejMemo struct {
+	deltaF phy.MHz
+	db     float64
+}
+
 // rejectionDB memoizes the rejection curve per signed frequency offset; the
 // curves in use are pure functions of the offset and a run only ever probes
-// a handful of channel-pair offsets.
+// a handful of channel-pair offsets, so a short scan serves it without
+// hashing the offset.
 func (m *Medium) rejectionDB(deltaF phy.MHz) float64 {
-	if v, ok := m.rejDB[deltaF]; ok {
-		return v
+	for _, r := range m.rejDB {
+		if r.deltaF == deltaF {
+			return r.db
+		}
 	}
 	v := m.rejection.RejectionDB(deltaF)
-	m.rejDB[deltaF] = v
+	m.rejDB = append(m.rejDB, rejMemo{deltaF: deltaF, db: v})
 	return v
 }
 

@@ -241,3 +241,28 @@ func TestFadingDrawIsStablePerTransmission(t *testing.T) {
 		t.Error("distinct transmissions reused the same fading draw")
 	}
 }
+
+// TestRejectionMemoMatchesCurve holds the rejection memo to the curve it
+// memoizes: for every signed channel-pair offset of the 15 MHz evaluation
+// band's 3 MHz and 5 MHz plans, the memo's first read (a fill) and second
+// read (a hit) both return RejectionDB's bits.
+func TestRejectionMemoMatchesCurve(t *testing.T) {
+	_, m := newTestMedium(t)
+	for _, cfd := range []phy.MHz{3, 5} {
+		p, err := phy.NewChannelPlan(2458, 15, cfd, phy.SpanInclusive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			for _, tx := range p.Centers {
+				for _, rx := range p.Centers {
+					deltaF := tx - rx
+					got, want := m.rejectionDB(deltaF), m.rejection.RejectionDB(deltaF)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("CFD %v pass %d: rejectionDB(%v) = %v, RejectionDB %v", cfd, pass, deltaF, got, want)
+					}
+				}
+			}
+		}
+	}
+}
